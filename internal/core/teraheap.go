@@ -200,8 +200,8 @@ func (cfg *Config) Validate() error {
 		return &ConfigError{Reason: fmt.Sprintf("high threshold %g outside [0,1]", cfg.HighThreshold)}
 	case cfg.LowThreshold < 0 || cfg.LowThreshold > 1:
 		return &ConfigError{Reason: fmt.Sprintf("low threshold %g outside [0,1]", cfg.LowThreshold)}
-	case cfg.PageSize <= 0:
-		return &ConfigError{Reason: fmt.Sprintf("non-positive page size %d", cfg.PageSize)}
+	case cfg.PageSize < vm.WordSize || cfg.PageSize&(cfg.PageSize-1) != 0:
+		return &ConfigError{Reason: fmt.Sprintf("page size %d not a power of two of at least one word", cfg.PageSize)}
 	}
 	return nil
 }

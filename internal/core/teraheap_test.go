@@ -423,3 +423,23 @@ func TestRandomLifecycleDrainsH2(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigRejectsBadPageSize: the H2 mapping indexes pages by shift, so
+// a page size that is not a power of two of at least one word is a
+// configuration error, reported before any mapping is built.
+func TestConfigRejectsBadPageSize(t *testing.T) {
+	for _, ps := range []int{0, -4096, 4, 3000, 12 * storage.KB} {
+		cfg := core.DefaultConfig(64 * storage.MB)
+		cfg.PageSize = ps
+		if cfg.Validate() == nil {
+			t.Errorf("page size %d accepted", ps)
+		}
+	}
+	for _, ps := range []int{8, storage.DefaultPageSize, storage.HugePageSize} {
+		cfg := core.DefaultConfig(64 * storage.MB)
+		cfg.PageSize = ps
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("page size %d rejected: %v", ps, err)
+		}
+	}
+}

@@ -595,23 +595,3 @@ func (c *Collector) chargeGC(cat simclock.Category, d time.Duration, threads int
 	}
 	c.Clock.Charge(cat, d/time.Duration(threads))
 }
-
-// adjustRef computes the post-compaction address for ref using the sorted
-// forwarding tables built in the precompaction phase. The binary search is
-// hand-rolled: sort.Search would force the comparison through a closure on
-// the hottest loop of the adjust phase.
-func adjustRef(src, dst []vm.Addr, ref vm.Addr) (vm.Addr, bool) {
-	lo, hi := 0, len(src)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if src[mid] < ref {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(src) && src[lo] == ref {
-		return dst[lo], true
-	}
-	return vm.NullAddr, false
-}

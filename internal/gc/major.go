@@ -273,10 +273,62 @@ type forwarding struct {
 	oldStartIdx int
 	// oldTop is the post-compaction old-generation allocation top.
 	oldTop vm.Addr
+
+	// The bucket index over src: base is the start of the bucket holding
+	// src[0], and bucket[k] is the index of the first src entry at or
+	// above base + k<<fwdBucketShift. A final entry holds len(src), so a
+	// lookup in bucket k searches src[bucket[k]:bucket[k+1]].
+	base   vm.Addr
+	bucket []int32
 }
+
+// fwdBucketShift sets the forwarding index's bucket size: 512 bytes of
+// H1, so each lookup searches at most a few dozen sources.
+const fwdBucketShift = 9
 
 // inH2 reports whether the destination of entry i is in the second heap.
 func (f *forwarding) inH2(i int) bool { return vm.InH2(f.dst[i]) }
+
+// buildIndex rebuilds the bucket index over src, which must be ascending.
+// It reuses the index's backing array across cycles.
+func (f *forwarding) buildIndex() {
+	f.bucket = f.bucket[:0]
+	if len(f.src) == 0 {
+		return
+	}
+	f.base = f.src[0] &^ (1<<fwdBucketShift - 1)
+	for i, a := range f.src {
+		for k := int((a - f.base) >> fwdBucketShift); len(f.bucket) <= k; {
+			f.bucket = append(f.bucket, int32(i))
+		}
+	}
+	f.bucket = append(f.bucket, int32(len(f.src)))
+}
+
+// lookup returns the post-compaction address of ref, and false when ref
+// is not a live source. It binary-searches only ref's bucket; the search
+// is hand-rolled because sort.Search would force the comparison through
+// a closure on the hottest loop of the adjust phase.
+func (f *forwarding) lookup(ref vm.Addr) (vm.Addr, bool) {
+	k := uint64(ref-f.base) >> fwdBucketShift
+	if k+1 >= uint64(len(f.bucket)) {
+		return vm.NullAddr, false
+	}
+	lo, hi := int(f.bucket[k]), int(f.bucket[k+1])
+	end := hi
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if f.src[mid] < ref {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && f.src[lo] == ref {
+		return f.dst[lo], true
+	}
+	return vm.NullAddr, false
+}
 
 // majorPrecompact assigns every marked object its new address: H2 regions
 // for closure objects (by label), the compacted old generation otherwise.
@@ -381,6 +433,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	fw.dst = append(append(fw.dst, youngDst...), oldDst...)
 	fw.oldStartIdx = len(youngLive)
 	fw.oldTop = oldTop
+	fw.buildIndex()
 	return fw, nil
 }
 
@@ -410,7 +463,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 	// backward references invisible to the next major GC.
 	c.TH.ScanBackwardRefs(true, func(_ uint64, t vm.Addr) vm.Addr {
 		c.gangBegin() // each backward reference is one adjust work item
-		nt, ok := adjustRef(fw.src, fw.dst, t)
+		nt, ok := fw.lookup(t)
 		if !ok {
 			panic(fmt.Sprintf("gc: H2 backward reference to unmarked %v", t))
 		}
@@ -436,7 +489,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 				}
 				continue
 			}
-			nt, ok := adjustRef(fw.src, fw.dst, t)
+			nt, ok := fw.lookup(t)
 			if !ok {
 				panic(fmt.Sprintf("gc: live object %v references unmarked %v", a, t))
 			}
@@ -462,7 +515,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 		if a.IsNull() || c.TH.Contains(a) {
 			continue
 		}
-		nt, ok := adjustRef(fw.src, fw.dst, a)
+		nt, ok := fw.lookup(a)
 		if !ok {
 			panic(fmt.Sprintf("gc: rooted handle references unmarked %v", a))
 		}

@@ -34,6 +34,8 @@ func Micros() []Micro {
 		{Name: "minor_gc_scavenge_ng2c", Setup: setupScavengeNG2C},
 		{Name: "card_table_scan", Setup: setupCardScan},
 		{Name: "writeback_submit_drain", Setup: setupWriteback},
+		{Name: "vm_load_store_h1", Setup: setupLoadStoreH1},
+		{Name: "major_gc_cycle", Setup: setupMajorGC},
 	}
 }
 
@@ -288,5 +290,72 @@ func setupCardScan() func() {
 		th.ScanBackwardRefs(false, visit, isYoung)
 	}
 	op() // warm: recompute card states once
+	return op
+}
+
+// setupLoadStoreH1: word loads and stores into an H1 object through the
+// address space of a TeraHeap JVM, whose H2 mapping is registered before
+// H1 (the layout every TeraHeap run has). Each op reads and rewrites the
+// object's 64 primitive words; it must be 0 allocs/op.
+func setupLoadStoreH1() func() {
+	clock := simclock.New()
+	thcfg := core.DefaultConfig(64 * storage.MB)
+	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB, TH: &thcfg}, nil, clock)
+	arr := j.Classes().MustPrimArray("long[]")
+	a, err := j.AllocPrimArray(arr, 64)
+	if err != nil {
+		panic(err)
+	}
+	as := j.Mem().AS
+	first := a + vm.HeaderWords*vm.WordSize
+	return func() {
+		for w := vm.Addr(0); w < 64; w++ {
+			p := first + w*vm.WordSize
+			as.Store(p, as.Load(p)+1)
+		}
+	}
+}
+
+// setupMajorGC: a PS JVM holding a rooted linked list of 2,048 nodes
+// across young and old generations; each op allocates young garbage and
+// runs one full major collection (mark, precompact, adjust, compact).
+// The warm-up grows every reusable major-GC buffer, so the measured loop
+// is steady state.
+func setupMajorGC() func() {
+	clock := simclock.New()
+	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB}, nil, clock)
+	node := j.Classes().MustFixed("Node", 2, 2)
+	h := j.NewHandle(vm.NullAddr)
+	for i := 0; i < 2048; i++ {
+		a, err := j.Alloc(node)
+		if err != nil {
+			panic(err)
+		}
+		j.WriteRef(a, 0, h.Addr())
+		h.Set(a)
+		if i == 1024 {
+			// Tenure the first half so the cycle compacts both
+			// generations.
+			if err := j.FullGC(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	col := j.Collector()
+	col.SetVerify(false) // env-independent, as in setupScavenge
+	op := func() {
+		for i := 0; i < 256; i++ {
+			if _, err := j.Alloc(node); err != nil {
+				panic(err)
+			}
+		}
+		if err := col.MajorGC(); err != nil {
+			panic(err)
+		}
+		col.Stats().ResetCycles()
+	}
+	for i := 0; i < 4; i++ {
+		op()
+	}
 	return op
 }

@@ -501,6 +501,7 @@ func (e *engine) serveLoop(ia time.Duration) error {
 	)
 	primaryAt := func(i int) time.Duration { return serveStart + time.Duration(i+1)*ia }
 	arr := workloads.NewRand(e.cfg.Seed)
+	keys := workloads.NewZipfSampler(e.cfg.Keys, e.cfg.ZipfS)
 
 	closeWindow := func() {
 		e.st.Windows = append(e.st.Windows, Window{
@@ -528,7 +529,7 @@ func (e *engine) serveLoop(ia time.Duration) error {
 			}
 			req = request{
 				at:     primaryAt(nextIdx),
-				key:    arr.Zipf(e.cfg.Keys, e.cfg.ZipfS),
+				key:    keys.Draw(arr),
 				client: arr.Uint64() % uint64(e.cfg.Clients),
 				op:     op,
 			}

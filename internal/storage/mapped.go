@@ -1,5 +1,10 @@
 package storage
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // MappedFile simulates a file-backed memory mapping: a word-addressable
 // array whose pages live on a device and are cached in DRAM by a PageCache.
 // TeraHeap maps H2 through this (the paper uses mmap or HugeMap), and the
@@ -8,8 +13,9 @@ type MappedFile struct {
 	dev   *Device
 	cache *PageCache
 	words []uint64
-	// pageWords is the page size in 8-byte words.
-	pageWords int64
+	// pageShift is log2 of the page size in 8-byte words: word w lies on
+	// page w >> pageShift.
+	pageShift uint
 }
 
 // DefaultPageSize is the base page size (4 KB).
@@ -20,10 +26,15 @@ const DefaultPageSize = 4 * KB
 const HugePageSize = 2 * MB
 
 // NewMappedFile maps sizeBytes of device-backed memory with the given page
-// size and DRAM cache budget (in bytes; 0 = unbounded).
+// size and DRAM cache budget (in bytes; 0 = unbounded). A non-positive
+// page size selects DefaultPageSize; any other page size must be a power
+// of two of at least one word, or NewMappedFile panics.
 func NewMappedFile(dev *Device, sizeBytes int64, pageSize int, cacheBytes int64) *MappedFile {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
+	}
+	if pageSize < 8 || pageSize&(pageSize-1) != 0 {
+		panic(fmt.Sprintf("storage: page size %d is not a power of two of at least 8 bytes", pageSize))
 	}
 	capacityPages := 0
 	if cacheBytes > 0 {
@@ -36,7 +47,7 @@ func NewMappedFile(dev *Device, sizeBytes int64, pageSize int, cacheBytes int64)
 		dev:       dev,
 		cache:     NewPageCache(dev, pageSize, capacityPages),
 		words:     make([]uint64, sizeBytes/8),
-		pageWords: int64(pageSize) / 8,
+		pageShift: uint(bits.TrailingZeros(uint(pageSize)) - 3),
 	}
 }
 
@@ -51,13 +62,13 @@ func (m *MappedFile) Cache() *PageCache { return m.cache }
 
 // Load reads the word at index w, faulting its page in if necessary.
 func (m *MappedFile) Load(w int64) uint64 {
-	m.cache.Touch(w/m.pageWords, false)
+	m.cache.Touch(w>>m.pageShift, false)
 	return m.words[w]
 }
 
 // Store writes the word at index w, dirtying its page.
 func (m *MappedFile) Store(w int64, v uint64) {
-	m.cache.Touch(w/m.pageWords, true)
+	m.cache.Touch(w>>m.pageShift, true)
 	m.words[w] = v
 }
 
@@ -67,8 +78,8 @@ func (m *MappedFile) Store(w int64, v uint64) {
 // per buffer flush via ChargeAsyncWrite.
 func (m *MappedFile) StageWords(w int64, src []uint64) {
 	copy(m.words[w:], src)
-	first := w / m.pageWords
-	last := (w + int64(len(src)) - 1) / m.pageWords
+	first := w >> m.pageShift
+	last := (w + int64(len(src)) - 1) >> m.pageShift
 	for p := first; p <= last; p++ {
 		if !m.cache.Resident(p) {
 			m.cache.insertClean(p)
@@ -107,7 +118,7 @@ func (m *MappedFile) InvalidateWords(w, n int64) {
 	if n <= 0 {
 		return
 	}
-	m.cache.InvalidateRange(w/m.pageWords, (w+n-1)/m.pageWords)
+	m.cache.InvalidateRange(w>>m.pageShift, (w+n-1)>>m.pageShift)
 }
 
 // PeekWord reads the word without any fault simulation or cost; for use by

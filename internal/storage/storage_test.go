@@ -218,3 +218,40 @@ func TestAsyncOverlapReducesWriteCost(t *testing.T) {
 		t.Fatalf("overlap did not reduce cost: %v vs %v", full, none)
 	}
 }
+
+// TestMappedFilePageSize pins the page-size contract: a power of two of
+// at least one word, with word w on page w / (pageSize/8). Every other
+// size is a bug in the caller and panics.
+func TestMappedFilePageSize(t *testing.T) {
+	for _, bad := range []int{4, 3000, 4097, 6 * storage.KB} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("page size %d: no panic", bad)
+				}
+			}()
+			storage.NewMappedFile(storage.NewDevice(storage.NVMeSSD, simclock.New()), 1<<16, bad, 0)
+		}()
+	}
+	for _, ps := range []int{8, 4096, 64 * storage.KB} {
+		dev := storage.NewDevice(storage.NVMeSSD, simclock.New())
+		m := storage.NewMappedFile(dev, 1<<20, ps, 0)
+		pw := int64(ps / 8)
+		// The last word of page 0 and the first words of pages 1 and 2
+		// fault three pages; the rest of page 1 faults none.
+		m.Load(pw - 1)
+		m.Load(pw)
+		m.Store(2*pw-1, 1)
+		m.Load(2 * pw)
+		if got := m.Cache().Len(); got != 3 {
+			t.Errorf("page size %d: %d resident pages, want 3", ps, got)
+		}
+		m.InvalidateWords(pw, pw)
+		if got := m.Cache().Len(); got != 2 {
+			t.Errorf("page size %d: %d resident pages after invalidating page 1, want 2", ps, got)
+		}
+	}
+	if m := storage.NewMappedFile(storage.NewDevice(storage.NVMeSSD, simclock.New()), 1<<16, 0, 0); m.Cache().PageSize() != storage.DefaultPageSize {
+		t.Errorf("page size 0 gave %d, want the default", m.Cache().PageSize())
+	}
+}

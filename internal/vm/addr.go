@@ -92,13 +92,39 @@ type Mapping struct {
 
 // AddressSpace routes loads and stores to the mapping covering each
 // address. It holds few mappings (H1 and H2), so lookup is a linear scan.
+//
+// The first RAM mapping whose RAM covers its whole range is also kept as
+// a direct word slice: Load, Store and CopyObject range-check and index
+// it without Resolve or an interface call. DRAM access is cost-free in
+// the model, so the shortcut charges nothing either way. Every other
+// address takes Resolve and the Memory interface in the same call
+// sequence as without the shortcut, so device-backed mappings see the
+// same page touches in the same order.
 type AddressSpace struct {
 	mappings []Mapping
+
+	// ram is the fast-path mapping's words and ramStart its first
+	// address; ram is nil until such a mapping is registered.
+	ram      []uint64
+	ramStart Addr
 }
 
 // Map registers a mapping. Ranges must not overlap.
 func (as *AddressSpace) Map(start, end Addr, mem Memory) {
 	as.mappings = append(as.mappings, Mapping{Start: start, End: end, Mem: mem})
+	size := end - start
+	if r, ok := mem.(*RAM); ok && as.ram == nil && r.base == start && size%WordSize == 0 &&
+		int64(size) <= r.SizeBytes() {
+		as.ram = r.words[:size/WordSize]
+		as.ramStart = start
+	}
+}
+
+// ramIndex returns the fast-path word index of a, and false when a is
+// outside the fast-path mapping (or there is none).
+func (as *AddressSpace) ramIndex(a Addr) (uint64, bool) {
+	i := uint64(a-as.ramStart) >> 3
+	return i, i < uint64(len(as.ram))
 }
 
 // Resolve returns the memory covering a, or nil.
@@ -112,35 +138,56 @@ func (as *AddressSpace) Resolve(a Addr) Memory {
 	return nil
 }
 
-// Load reads the word at a. It panics on unmapped addresses: an unmapped
-// access is a simulator bug, not a recoverable condition.
-func (as *AddressSpace) Load(a Addr) uint64 {
+// mustResolve returns the memory covering a. It panics on unmapped
+// addresses: an unmapped access is a simulator bug, not a recoverable
+// condition. op names the access in the panic message.
+func (as *AddressSpace) mustResolve(a Addr, op string) Memory {
 	m := as.Resolve(a)
 	if m == nil {
-		panic(fmt.Sprintf("vm: load from unmapped address %v", a))
+		panic(fmt.Sprintf("vm: %s unmapped address %v", op, a))
 	}
-	return m.Load(a)
+	return m
+}
+
+// Load reads the word at a. It panics on unmapped addresses.
+func (as *AddressSpace) Load(a Addr) uint64 {
+	if i, ok := as.ramIndex(a); ok {
+		return as.ram[i]
+	}
+	return as.mustResolve(a, "load from").Load(a)
 }
 
 // Peek reads the word at a without charging simulated cost: backends
 // implementing Peeker are read directly, anything else falls back to Load
 // (RAM loads are already free). Invariant checks and tests only.
 func (as *AddressSpace) Peek(a Addr) uint64 {
-	m := as.Resolve(a)
-	if m == nil {
-		panic(fmt.Sprintf("vm: peek of unmapped address %v", a))
-	}
+	m := as.mustResolve(a, "peek of")
 	if p, ok := m.(Peeker); ok {
 		return p.Peek(a)
 	}
 	return m.Load(a)
 }
 
-// Store writes the word at a.
+// Store writes the word at a. It panics on unmapped addresses.
 func (as *AddressSpace) Store(a Addr, v uint64) {
-	m := as.Resolve(a)
-	if m == nil {
-		panic(fmt.Sprintf("vm: store to unmapped address %v", a))
+	if i, ok := as.ramIndex(a); ok {
+		as.ram[i] = v
+		return
 	}
-	m.Store(a, v)
+	as.mustResolve(a, "store to").Store(a, v)
+}
+
+// copyRAM copies n words from src to dst with one slice copy when both
+// ranges lie inside the fast-path mapping and a forward word-by-word copy
+// would give the same result (dst at or below src, or no overlap). It
+// reports whether it did the copy.
+func (as *AddressSpace) copyRAM(dst, src Addr, n int) bool {
+	d, okd := as.ramIndex(dst)
+	s, oks := as.ramIndex(src)
+	w, lim := uint64(n), uint64(len(as.ram))
+	if !okd || !oks || w > lim-d || w > lim-s || (d > s && d < s+w) {
+		return false
+	}
+	copy(as.ram[d:d+w], as.ram[s:s+w])
+	return true
 }

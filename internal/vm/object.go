@@ -171,7 +171,12 @@ func (m *Mem) NumPrims(a Addr) int {
 }
 
 // CopyObject copies the sizeWords-long object at src to dst word by word.
+// A copy within DRAM is one slice copy; any other copy loads and stores
+// each word in order, so device-backed memory sees every access.
 func (m *Mem) CopyObject(dst, src Addr, sizeWords int) {
+	if m.AS.copyRAM(dst, src, sizeWords) {
+		return
+	}
 	for i := 0; i < sizeWords; i++ {
 		m.AS.Store(dst+Addr(i*WordSize), m.AS.Load(src+Addr(i*WordSize)))
 	}

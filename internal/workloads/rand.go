@@ -48,32 +48,61 @@ func (r *Rand) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Zipf returns a sample in [0, n) with P(k) ∝ 1/(k+1)^s using inverse
-// transform over a precomputed CDF is too costly per call, so it uses the
-// rejection-inversion-free approximation adequate for degree skew.
+// Zipf returns a sample in [0, n) with P(k) ∝ 1/(k+1)^s. It inverts
+// the CDF of the continuous analogue in closed form, which is adequate
+// for degree and key-popularity skew and far cheaper than inverting a
+// precomputed discrete CDF. It recomputes the distribution's constants
+// on every call; code drawing many samples from one distribution uses
+// a ZipfSampler, which returns the same values draw for draw.
 func (r *Rand) Zipf(n int, s float64) int {
 	if n <= 1 {
 		return 0
 	}
-	// Inverse-CDF approximation for the continuous analogue.
 	u := r.Float64()
 	if s == 1 {
-		k := int(math.Pow(float64(n), u)) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= n {
-			k = n - 1
-		}
-		return k
+		return clampZipf(int(math.Pow(float64(n), u))-1, n)
 	}
 	x := math.Pow(u*(math.Pow(float64(n), 1-s)-1)+1, 1/(1-s)) - 1
-	k := int(x)
+	return clampZipf(int(x), n)
+}
+
+// ZipfSampler draws from the distribution of Rand.Zipf(n, s) with its
+// constants computed once, for generators that draw many samples from
+// one (n, s).
+type ZipfSampler struct {
+	n  int
+	s1 bool    // s == 1: the inverse CDF is n^u - 1
+	fn float64 // float64(n)
+	c  float64 // n^(1-s) - 1
+	e  float64 // 1/(1-s)
+}
+
+// NewZipfSampler precomputes the constants of the (n, s) distribution.
+func NewZipfSampler(n int, s float64) ZipfSampler {
+	return ZipfSampler{n: n, s1: s == 1, fn: float64(n),
+		c: math.Pow(float64(n), 1-s) - 1, e: 1 / (1 - s)}
+}
+
+// Draw returns the next sample from r, bit-identical to r.Zipf(n, s),
+// including consuming no randomness when n <= 1.
+func (z ZipfSampler) Draw(r *Rand) int {
+	if z.n <= 1 {
+		return 0
+	}
+	u := r.Float64()
+	if z.s1 {
+		return clampZipf(int(math.Pow(z.fn, u))-1, z.n)
+	}
+	return clampZipf(int(math.Pow(u*z.c+1, z.e)-1), z.n)
+}
+
+// clampZipf clamps a Zipf sample to [0, n).
+func clampZipf(k, n int) int {
 	if k < 0 {
-		k = 0
+		return 0
 	}
 	if k >= n {
-		k = n - 1
+		return n - 1
 	}
 	return k
 }

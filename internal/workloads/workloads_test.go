@@ -59,6 +59,33 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestZipfSamplerMatchesRandZipf pins the sampler to the one-shot form:
+// two generators on the same seed, one drawing through Rand.Zipf and one
+// through the sampler, must agree on every draw and stay in lockstep
+// (n <= 1 consumes no randomness in either form).
+func TestZipfSamplerMatchesRandZipf(t *testing.T) {
+	cases := []struct {
+		n int
+		s float64
+	}{
+		{0, 0.99}, {1, 1}, {2, 0.5}, {100, 1}, {160, 0.8}, {1000, 1.1},
+		{1_200_000, 0.99}, {4096, 0.9}, {50, 2.5},
+	}
+	for _, c := range cases {
+		z := workloads.NewZipfSampler(c.n, c.s)
+		ref, got := workloads.NewRand(77), workloads.NewRand(77)
+		for i := 0; i < 100_000; i++ {
+			want, have := ref.Zipf(c.n, c.s), z.Draw(got)
+			if want != have {
+				t.Fatalf("n=%d s=%g draw %d: sampler %d, Rand.Zipf %d", c.n, c.s, i, have, want)
+			}
+		}
+		if ref.Uint64() != got.Uint64() {
+			t.Fatalf("n=%d s=%g: generators out of step after 100k draws", c.n, c.s)
+		}
+	}
+}
+
 func TestGenGraphShape(t *testing.T) {
 	g := workloads.GenGraph(5, 1000, 8, 0.8)
 	if g.N != 1000 {
