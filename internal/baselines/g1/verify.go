@@ -381,7 +381,7 @@ func (g *G1) verifyReachable(starts map[vm.Addr]*g1obj, report func(check.Failur
 			if _, ok := starts[t]; !ok {
 				rule := "ref-dangling"
 				detail := fmt.Sprintf("reference targets %v, not a live object start", t)
-				if g.as.Resolve(t) == nil {
+				if !g.as.Mapped(t) {
 					rule = "ref-unmapped"
 					detail = fmt.Sprintf("reference targets unmapped address %v", t)
 				}

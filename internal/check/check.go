@@ -317,7 +317,7 @@ func (vr *Verifier) verifyReachable(v PSView, report func(Failure)) {
 			if _, ok := vr.starts[t]; !ok {
 				rule := "ref-dangling"
 				detail := fmt.Sprintf("reference targets %v, not a valid object start", t)
-				if v.AS.Resolve(t) == nil {
+				if !v.AS.Mapped(t) {
 					rule = "ref-unmapped"
 					detail = fmt.Sprintf("reference targets unmapped address %v", t)
 				}

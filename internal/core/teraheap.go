@@ -165,20 +165,6 @@ type TeraHeap struct {
 	stats Stats
 }
 
-// mappedMemory adapts a MappedFile to vm.Memory at vm.H2Base. It holds the
-// TeraHeap rather than the file so mutator stores can keep the per-region
-// checksum current (noteH2Store).
-type mappedMemory struct {
-	th *TeraHeap
-}
-
-func (m mappedMemory) Load(a vm.Addr) uint64 { return m.th.mapped.Load(a.Word(vm.H2Base)) }
-func (m mappedMemory) Store(a vm.Addr, v uint64) {
-	m.th.noteH2Store(a, v)
-	m.th.mapped.Store(a.Word(vm.H2Base), v)
-}
-func (m mappedMemory) Peek(a vm.Addr) uint64 { return m.th.mapped.PeekWord(a.Word(vm.H2Base)) }
-
 // ConfigError is the typed error for an invalid TeraHeap configuration.
 // Bad configurations come from user input (experiment sweeps, CLI flags),
 // so they are reported as errors, not panics.
@@ -236,7 +222,7 @@ func NewChecked(cfg Config, dev *storage.Device, as *vm.AddressSpace, clock *sim
 		clock:  clock,
 		mapped: storage.NewMappedFile(dev, cfg.H2Size, cfg.PageSize, cfg.CacheBytes),
 	}
-	as.Map(vm.H2Base, vm.H2Base+vm.Addr(cfg.H2Size), mappedMemory{th: th})
+	as.MapFile(vm.H2Base, th.mapped, th.noteH2Store)
 	th.cards = newCardTable(cfg, int(numRegions))
 	return th, nil
 }

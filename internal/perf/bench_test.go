@@ -36,6 +36,7 @@ func TestMicroAllocPins(t *testing.T) {
 		"card_table_scan":            0,
 		"writeback_submit_drain":     0,
 		"vm_load_store_h1":           0,
+		"vm_load_h2":                 0,
 		// The mark state, the two backward-reference visitor closures
 		// handed to SecondHeap.ScanBackwardRefs and the variables they
 		// capture: 6 per cycle, none proportional to the heap.
@@ -65,7 +66,7 @@ func TestMicrosHaveUniqueStableNames(t *testing.T) {
 		}
 		seen[m.Name] = true
 	}
-	if want := 11; len(seen) != want {
+	if want := 12; len(seen) != want {
 		t.Fatalf("expected %d micros, got %d", want, len(seen))
 	}
 }

@@ -35,6 +35,7 @@ func Micros() []Micro {
 		{Name: "card_table_scan", Setup: setupCardScan},
 		{Name: "writeback_submit_drain", Setup: setupWriteback},
 		{Name: "vm_load_store_h1", Setup: setupLoadStoreH1},
+		{Name: "vm_load_h2", Setup: setupLoadH2},
 		{Name: "major_gc_cycle", Setup: setupMajorGC},
 	}
 }
@@ -315,6 +316,36 @@ func setupLoadStoreH1() func() {
 		}
 	}
 }
+
+// setupLoadH2: word loads through the address space of a TeraHeap JVM
+// into its H2 file mapping, with the working set resident in the page
+// cache. Each op reads 8 words from each of 8 pages, the way an object
+// walk reads several words per page: the first load of a page is a hit
+// that moves the page to the front of the LRU list, the other 7 hit the
+// most-recently-used page. It must be 0 allocs/op.
+func setupLoadH2() func() {
+	clock := simclock.New()
+	thcfg := core.DefaultConfig(64 * storage.MB)
+	j := rt.NewJVM(rt.Options{H1Size: 8 * storage.MB, TH: &thcfg}, nil, clock)
+	as := j.Mem().AS
+	const pageBytes = storage.DefaultPageSize
+	for p := vm.Addr(0); p < 8; p++ {
+		as.Load(vm.H2Base + p*pageBytes)
+	}
+	var sink uint64
+	return func() {
+		for p := vm.Addr(0); p < 8; p++ {
+			page := vm.H2Base + p*pageBytes
+			for w := vm.Addr(0); w < 8; w++ {
+				sink += as.Load(page + w*vm.WordSize)
+			}
+		}
+		loadSink = sink
+	}
+}
+
+// loadSink keeps the measured loads from being optimized away.
+var loadSink uint64
 
 // setupMajorGC: a PS JVM holding a rooted linked list of 2,048 nodes
 // across young and old generations; each op allocates young garbage and

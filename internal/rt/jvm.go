@@ -123,7 +123,7 @@ func NewMemoryModeJVM(h1Size, dramCacheBytes int64, nvm *storage.Device, classes
 	}
 	as := &vm.AddressSpace{}
 	mapped := storage.NewMappedFile(nvm, h1Size, storage.DefaultPageSize, dramCacheBytes)
-	as.Map(vm.H1Base, vm.H1Base+vm.Addr(h1Size), mappedVMMemory{f: mapped, base: vm.H1Base})
+	as.MapFile(vm.H1Base, mapped, nil)
 
 	hc := heap.DefaultConfig(h1Size)
 	col := gc.NewWithHeap(heap.NewUnmapped(hc), gc.DefaultCostParams(), as, classes, clock, nil)

@@ -81,16 +81,6 @@ func ChargeCompute(clock *simclock.Clock, d time.Duration) {
 	clock.Charge(simclock.Other, d)
 }
 
-// mappedVMMemory adapts a storage.MappedFile to vm.Memory at base.
-type mappedVMMemory struct {
-	f    *storage.MappedFile
-	base vm.Addr
-}
-
-func (m mappedVMMemory) Load(a vm.Addr) uint64     { return m.f.Load(a.Word(m.base)) }
-func (m mappedVMMemory) Store(a vm.Addr, v uint64) { m.f.Store(a.Word(m.base), v) }
-func (m mappedVMMemory) Peek(a vm.Addr) uint64     { return m.f.PeekWord(a.Word(m.base)) }
-
 // nvmDirectMemory models byte-addressable NVM accessed with load/store
 // instructions (App Direct mode): every word access charges an amortized
 // cacheline-granularity cost and counts device traffic. Used by the

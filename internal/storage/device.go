@@ -77,11 +77,6 @@ func NewStripedDevice(kind Kind, stripes int, clock *simclock.Clock) *Device {
 	return d
 }
 
-// NewDeviceWithModel builds a device with an explicit cost model.
-func NewDeviceWithModel(kind Kind, model CostModel, clock *simclock.Clock) *Device {
-	return &Device{kind: kind, model: model, clock: clock, asyncOverlap: 0.6}
-}
-
 // Kind returns the device technology.
 func (d *Device) Kind() Kind { return d.kind }
 

@@ -62,7 +62,7 @@ func (m *MappedFile) Cache() *PageCache { return m.cache }
 
 // Load reads the word at index w, faulting its page in if necessary.
 func (m *MappedFile) Load(w int64) uint64 {
-	m.cache.Touch(w>>m.pageShift, false)
+	m.cache.touchRead(w >> m.pageShift)
 	return m.words[w]
 }
 

@@ -157,6 +157,20 @@ func (c *PageCache) Touch(page int64, write bool) {
 	}
 }
 
+// touchRead is Touch(page, false) with the commonest case answered
+// inline: a read of the clean most-recently-used page. That is exactly
+// what Touch would do there. The head page is resident, so Touch takes
+// its hit branch; moveToFront returns at once on the head; the windowed
+// writeback check runs only for dirty pages; and a read dirties nothing.
+// So the shortcut counts the hit and returns.
+func (c *PageCache) touchRead(page int64) {
+	if page == int64(c.head) && c.slots[page].state == pageClean {
+		c.Hits++
+		return
+	}
+	c.Touch(page, false)
+}
+
 // Resident reports whether the page is currently cached.
 func (c *PageCache) Resident(page int64) bool {
 	return page >= 0 && page < int64(len(c.slots)) && c.slots[page].state != pageAbsent

@@ -9,7 +9,11 @@
 // operate exactly the way the paper describes them over OpenJDK.
 package vm
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/carv-repro/teraheap-go/internal/storage"
+)
 
 // Addr is a byte address in the simulated virtual address space. The zero
 // value is the null reference. All object addresses are 8-byte aligned.
@@ -84,40 +88,61 @@ type Peeker interface {
 	Peek(a Addr) uint64
 }
 
-// Mapping binds an address range to a Memory implementation.
-type Mapping struct {
-	Start, End Addr // [Start, End)
-	Mem        Memory
+// mapping binds an address range to a Memory implementation.
+type mapping struct {
+	start, end Addr // [start, end)
+	mem        Memory
 }
 
 // AddressSpace routes loads and stores to the mapping covering each
 // address. It holds few mappings (H1 and H2), so lookup is a linear scan.
 //
-// The first RAM mapping whose RAM covers its whole range is also kept as
-// a direct word slice: Load, Store and CopyObject range-check and index
-// it without Resolve or an interface call. DRAM access is cost-free in
-// the model, so the shortcut charges nothing either way. Every other
-// address takes Resolve and the Memory interface in the same call
-// sequence as without the shortcut, so device-backed mappings see the
-// same page touches in the same order.
+// Two mappings are kept as direct fields instead. The first RAM mapping
+// whose RAM covers its whole range is a word slice: Load, Store and
+// CopyObject range-check and index it without a lookup or an interface
+// call. DRAM access is cost-free in the model, so the shortcut charges
+// nothing either way. The file mapping (MapFile) calls its MappedFile
+// directly, in the same call sequence a Memory adapter over the file
+// would make, so the page cache sees the same touches in the same order.
+// Every other address takes the mapping scan and the Memory interface.
 type AddressSpace struct {
-	mappings []Mapping
+	mappings []mapping
 
 	// ram is the fast-path mapping's words and ramStart its first
 	// address; ram is nil until such a mapping is registered.
 	ram      []uint64
 	ramStart Addr
+
+	// file is the file mapping, fileStart its first address and
+	// fileWords its length in words (0 until MapFile). onStore, when
+	// non-nil, runs before each store into the file mapping.
+	file      *storage.MappedFile
+	fileStart Addr
+	fileWords uint64
+	onStore   func(Addr, uint64)
 }
 
 // Map registers a mapping. Ranges must not overlap.
 func (as *AddressSpace) Map(start, end Addr, mem Memory) {
-	as.mappings = append(as.mappings, Mapping{Start: start, End: end, Mem: mem})
+	as.mappings = append(as.mappings, mapping{start: start, end: end, mem: mem})
 	size := end - start
 	if r, ok := mem.(*RAM); ok && as.ram == nil && r.base == start && size%WordSize == 0 &&
 		int64(size) <= r.SizeBytes() {
 		as.ram = r.words[:size/WordSize]
 		as.ramStart = start
 	}
+}
+
+// MapFile maps f at start: word w of the file lies at start+8w. onStore,
+// when non-nil, is called with the address and new value before every
+// store into the mapping, so it can still peek the old word. An address
+// space holds at most one file mapping; MapFile panics on a second.
+// The range must not overlap any other mapping.
+func (as *AddressSpace) MapFile(start Addr, f *storage.MappedFile, onStore func(Addr, uint64)) {
+	if as.file != nil {
+		panic(fmt.Sprintf("vm: second file mapping at %v (one is already mapped at %v)", start, as.fileStart))
+	}
+	as.file, as.fileStart, as.fileWords, as.onStore = f, start, uint64(f.SizeWords()), onStore
 }
 
 // ramIndex returns the fast-path word index of a, and false when a is
@@ -127,22 +152,36 @@ func (as *AddressSpace) ramIndex(a Addr) (uint64, bool) {
 	return i, i < uint64(len(as.ram))
 }
 
-// Resolve returns the memory covering a, or nil.
-func (as *AddressSpace) Resolve(a Addr) Memory {
+// fileIndex returns the file word index of a, and false when a is
+// outside the file mapping (or there is none).
+func (as *AddressSpace) fileIndex(a Addr) (int64, bool) {
+	w := uint64(a-as.fileStart) >> 3
+	return int64(w), w < as.fileWords
+}
+
+// resolve returns the Map-registered memory covering a, or nil.
+func (as *AddressSpace) resolve(a Addr) Memory {
 	for i := range as.mappings {
 		m := &as.mappings[i]
-		if a >= m.Start && a < m.End {
-			return m.Mem
+		if a >= m.start && a < m.end {
+			return m.mem
 		}
 	}
 	return nil
+}
+
+// Mapped reports whether a lies in any mapping.
+func (as *AddressSpace) Mapped(a Addr) bool {
+	_, inRAM := as.ramIndex(a)
+	_, inFile := as.fileIndex(a)
+	return inRAM || inFile || as.resolve(a) != nil
 }
 
 // mustResolve returns the memory covering a. It panics on unmapped
 // addresses: an unmapped access is a simulator bug, not a recoverable
 // condition. op names the access in the panic message.
 func (as *AddressSpace) mustResolve(a Addr, op string) Memory {
-	m := as.Resolve(a)
+	m := as.resolve(a)
 	if m == nil {
 		panic(fmt.Sprintf("vm: %s unmapped address %v", op, a))
 	}
@@ -154,13 +193,26 @@ func (as *AddressSpace) Load(a Addr) uint64 {
 	if i, ok := as.ramIndex(a); ok {
 		return as.ram[i]
 	}
+	return as.loadSlow(a)
+}
+
+// loadSlow is Load for every address outside the RAM fast path, kept
+// out of line so that Load's own body stays a range check and an index.
+func (as *AddressSpace) loadSlow(a Addr) uint64 {
+	if w, ok := as.fileIndex(a); ok {
+		return as.file.Load(w)
+	}
 	return as.mustResolve(a, "load from").Load(a)
 }
 
-// Peek reads the word at a without charging simulated cost: backends
-// implementing Peeker are read directly, anything else falls back to Load
-// (RAM loads are already free). Invariant checks and tests only.
+// Peek reads the word at a without charging simulated cost: the file
+// mapping and backends implementing Peeker are read directly, anything
+// else falls back to Load (RAM loads are already free). Invariant checks
+// and tests only.
 func (as *AddressSpace) Peek(a Addr) uint64 {
+	if w, ok := as.fileIndex(a); ok {
+		return as.file.PeekWord(w)
+	}
 	m := as.mustResolve(a, "peek of")
 	if p, ok := m.(Peeker); ok {
 		return p.Peek(a)
@@ -172,6 +224,18 @@ func (as *AddressSpace) Peek(a Addr) uint64 {
 func (as *AddressSpace) Store(a Addr, v uint64) {
 	if i, ok := as.ramIndex(a); ok {
 		as.ram[i] = v
+		return
+	}
+	as.storeSlow(a, v)
+}
+
+// storeSlow is Store for every address outside the RAM fast path.
+func (as *AddressSpace) storeSlow(a Addr, v uint64) {
+	if w, ok := as.fileIndex(a); ok {
+		if as.onStore != nil {
+			as.onStore(a, v)
+		}
+		as.file.Store(w, v)
 		return
 	}
 	as.mustResolve(a, "store to").Store(a, v)
