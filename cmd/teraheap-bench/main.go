@@ -45,7 +45,6 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/fault"
 	"github.com/carv-repro/teraheap-go/internal/metrics"
 	"github.com/carv-repro/teraheap-go/internal/perf"
-	"github.com/carv-repro/teraheap-go/internal/runner"
 	"github.com/carv-repro/teraheap-go/internal/server"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
 )
@@ -57,11 +56,11 @@ func main() {
 // suite lists every experiment of the §6-§7 evaluation in "all" order.
 var suite = []struct {
 	name string
-	fn   func() string
+	fn   func(*experiments.RunContext) string
 }{
 	{"fig6-spark", experiments.Fig6SparkAll},
 	{"fig6-giraph", experiments.Fig6GiraphAll},
-	{"fig7", func() string { return experiments.Fig7().Format() }},
+	{"fig7", func(ctx *experiments.RunContext) string { return experiments.Fig7(ctx).Format() }},
 	{"fig8", experiments.Fig8},
 	{"fig9a", experiments.Fig9a},
 	{"fig9b", experiments.Fig9b},
@@ -127,17 +126,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		plan = p
 	}
-	prev := runner.SetDefaultWorkers(*jobs)
-	defer runner.SetDefaultWorkers(prev)
-	prevVerify := experiments.SetVerify(*verify)
-	defer experiments.SetVerify(prevVerify)
-	prevPlan := experiments.SetFaultPlan(plan)
-	defer experiments.SetFaultPlan(prevPlan)
-	prevGW := experiments.SetGCWorkers(*gcWorkers)
-	defer experiments.SetGCWorkers(prevGW)
-	prevWB := experiments.SetWritebackDepth(*wbDepth)
-	defer experiments.SetWritebackDepth(prevWB)
-	experiments.ResetBadRuns()
+	workers := *jobs
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// One context carries the run flags to every experiment; copies the
+	// figures derive from it share its failure counter.
+	ctx := experiments.RunContext{
+		Verify:         *verify,
+		FaultPlan:      plan,
+		GCWorkers:      *gcWorkers,
+		WritebackDepth: *wbDepth,
+		Workers:        workers,
+	}.Counting()
 
 	what := fs.Arg(0)
 	arg := fs.Arg(1)
@@ -148,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "teraheap-bench: unknown Spark workload %q (valid: %v)\n", arg, experiments.SparkWorkloads())
 				return 2
 			}
-			r := experiments.Fig6Spark(arg)
+			r := experiments.Fig6Spark(ctx, arg)
 			if *csvOut {
 				fmt.Fprint(stdout, metrics.CSVBreakdown(r.Rows))
 			} else {
@@ -156,10 +157,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		} else if *csvOut {
 			for _, w := range experiments.SparkWorkloads() {
-				fmt.Fprint(stdout, metrics.CSVBreakdown(experiments.Fig6Spark(w).Rows))
+				fmt.Fprint(stdout, metrics.CSVBreakdown(experiments.Fig6Spark(ctx, w).Rows))
 			}
 		} else {
-			fmt.Fprint(stdout, experiments.Fig6SparkAll())
+			fmt.Fprint(stdout, experiments.Fig6SparkAll(ctx))
 		}
 	case "fig6-giraph":
 		if arg != "" {
@@ -167,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "teraheap-bench: unknown Giraph workload %q (valid: %v)\n", arg, experiments.GiraphWorkloads())
 				return 2
 			}
-			r := experiments.Fig6Giraph(arg)
+			r := experiments.Fig6Giraph(ctx, arg)
 			if *csvOut {
 				fmt.Fprint(stdout, metrics.CSVBreakdown(r.Rows))
 			} else {
@@ -175,13 +176,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		} else if *csvOut {
 			for _, w := range experiments.GiraphWorkloads() {
-				fmt.Fprint(stdout, metrics.CSVBreakdown(experiments.Fig6Giraph(w).Rows))
+				fmt.Fprint(stdout, metrics.CSVBreakdown(experiments.Fig6Giraph(ctx, w).Rows))
 			}
 		} else {
-			fmt.Fprint(stdout, experiments.Fig6GiraphAll())
+			fmt.Fprint(stdout, experiments.Fig6GiraphAll(ctx))
 		}
 	case "fig7":
-		r := experiments.Fig7()
+		r := experiments.Fig7(ctx)
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
@@ -195,7 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// meant to survive its plan; an OOM means it no longer does).
 		// Faulted runs stay exit 0: a latched persistent failure is the
 		// fault plane's expected output on kinds without a recovery layer.
-		r := experiments.RunChaos(plan)
+		r := experiments.RunChaos(ctx, plan)
 		fmt.Fprint(stdout, r.Format())
 		return chaosExit("chaos", r, stderr)
 	case "serve":
@@ -203,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !ok {
 			return 2
 		}
-		r := experiments.ServeSweep(cfg, nil)
+		r := experiments.ServeSweep(ctx, cfg, nil)
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
@@ -218,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !ok {
 			return 2
 		}
-		r := experiments.ChaosServe(plan, cfg)
+		r := experiments.ChaosServe(ctx, plan, cfg)
 		fmt.Fprint(stdout, r.Format())
 		return chaosExit("chaos-serve", r.ChaosResult, stderr)
 	case "pretenure":
@@ -235,7 +236,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "teraheap-bench: pretenure: %v\n", err)
 			return 2
 		}
-		r := experiments.Pretenure(kinds)
+		r := experiments.Pretenure(ctx, kinds)
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
@@ -245,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// The worker-scaling figure is deliberately not part of the "all"
 		// suite: it varies GCWorkers, and "all" output stays byte-identical
 		// for every flag combination except the model knobs themselves.
-		r := experiments.WorkerScaling(nil)
+		r := experiments.WorkerScaling(ctx, nil)
 		if *csvOut {
 			fmt.Fprint(stdout, r.CSV())
 		} else {
@@ -255,14 +256,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if fs.Arg(1) == "diff" {
 			return runBenchDiff(fs.Arg(2), fs.Arg(3), *threshold, *strict, stdout, stderr)
 		}
-		return runBench(*benchOut, *benchRev, *trajectory, *threshold, *strict, stdout, stderr)
+		return runBench(ctx, *benchOut, *benchRev, *trajectory, *threshold, *strict, stdout, stderr)
 	case "all":
-		parallel := runAll(stdout, stderr)
+		parallel := runAll(ctx, stdout, stderr)
 		if *compare {
-			runner.SetDefaultWorkers(1)
+			serialCtx := *ctx
+			serialCtx.Workers = 1
 			workloads.ResetCaches() // serial rerun regenerates datasets too
 			fmt.Fprintf(stderr, "# rerunning at -j 1 for comparison\n")
-			serial := runAll(io.Discard, stderr)
+			serial := runAll(&serialCtx, io.Discard, stderr)
 			fmt.Fprintf(stderr, "# speedup vs -j 1: %.2fx (parallel %v, serial %v)\n",
 				float64(serial)/float64(parallel), parallel.Round(time.Millisecond),
 				serial.Round(time.Millisecond))
@@ -271,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran := false
 		for _, e := range suite {
 			if e.name == what {
-				fmt.Fprint(stdout, e.fn())
+				fmt.Fprint(stdout, e.fn(ctx))
 				ran = true
 				break
 			}
@@ -284,7 +286,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Degraded results still print in full above; the exit code tells
 	// scripts the table contains OOM/faulted/panicked runs.
-	if n := experiments.BadRuns(); n > 0 {
+	if n := ctx.Failures(); n > 0 {
 		fmt.Fprintf(stderr, "teraheap-bench: %d run(s) ended OOM/faulted/panicked (results above are partial)\n", n)
 		return 1
 	}
@@ -296,27 +298,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 // hot-loop microbenchmarks, and writes BENCH_<rev>.json. Unlike "all",
 // OOM-by-design runs (the paper's native-JVM OOM bars) do not affect the
 // exit code: the subcommand's contract is the JSON file.
-func runBench(outPath, rev, trajectory string, threshold float64, strict bool, stdout, stderr io.Writer) int {
+func runBench(ctx *experiments.RunContext, outPath, rev, trajectory string, threshold float64, strict bool, stdout, stderr io.Writer) int {
 	report := &perf.Report{
 		Schema:    perf.Schema,
 		Rev:       rev,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
-		Jobs:      runner.DefaultWorkers(),
+		Jobs:      ctx.Workers,
 	}
 
 	start := time.Now()
 	for _, e := range suite {
 		figStart := time.Now()
-		e.fn()
+		e.fn(ctx)
 		wall := time.Since(figStart)
 		report.Figures = append(report.Figures, perf.Figure{Name: e.name, WallNS: wall.Nanoseconds()})
 		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, wall.Round(time.Millisecond))
 	}
 	report.TotalNS = time.Since(start).Nanoseconds()
 	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", time.Duration(report.TotalNS).Round(time.Millisecond), report.Jobs)
-	if n := experiments.BadRuns(); n > 0 {
+	if n := ctx.Failures(); n > 0 {
 		fmt.Fprintf(stderr, "# %d run(s) ended OOM/faulted/panicked (expected for native-JVM OOM bars)\n", n)
 	}
 
@@ -392,16 +394,16 @@ func runBenchDiff(oldPath, newPath string, threshold float64, strict bool, stdou
 // runAll runs the whole suite, streaming figure text to stdout and
 // per-figure wall-clock timings to stderr, and returns the total
 // wall-clock time.
-func runAll(stdout, stderr io.Writer) time.Duration {
+func runAll(ctx *experiments.RunContext, stdout, stderr io.Writer) time.Duration {
 	start := time.Now()
 	for _, e := range suite {
 		figStart := time.Now()
-		out := e.fn()
+		out := e.fn(ctx)
 		fmt.Fprint(stdout, out)
 		fmt.Fprintf(stderr, "# %-18s %10v\n", e.name, time.Since(figStart).Round(time.Millisecond))
 	}
 	total := time.Since(start)
-	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", total.Round(time.Millisecond), runner.DefaultWorkers())
+	fmt.Fprintf(stderr, "# %-18s %10v (-j %d)\n", "total", total.Round(time.Millisecond), ctx.Workers)
 	return total
 }
 

@@ -85,11 +85,7 @@ func (r ChaosResult) Format() string {
 			fmt.Fprintf(&sb, "  recovery: %s\n", run.Recovery.String())
 		}
 		if run.FailErr != "" {
-			line := run.FailErr
-			if i := strings.IndexByte(line, '\n'); i >= 0 {
-				line = line[:i]
-			}
-			fmt.Fprintf(&sb, "  cause: %s\n", line)
+			fmt.Fprintf(&sb, "  cause: %s\n", firstLine(run.FailErr))
 		}
 	}
 	healthy, recovered, degraded, faulted, oom, panicked := r.Counts()
@@ -103,38 +99,44 @@ func (r ChaosResult) Format() string {
 // exercised), a streaming ML run at its reduced DRAM point (read-dominated,
 // so latency spikes and brown-outs land on the page-cache fault path), and
 // the Fig 9a hint pair for Giraph PR (mutable stores forced to H2, so
-// device read-modify-writes absorb the injected errors). Every spec
-// carries ctx explicitly, so the harness never touches the process-default
-// context — chaos runs can interleave with default-context runs. The
-// NG2C run uses the pretenure figure's hints-off configuration so its
-// placement policy is actually exercised (pretenured allocations, policy
+// device read-modify-writes absorb the injected errors). The NG2C run
+// uses the pretenure figure's hints-off configuration so its placement
+// policy is actually exercised (pretenured allocations, policy
 // promotions, demotion feedback) while faults land; Deca's epoch regions
 // live on a DRAM device, so its chaos coverage is the H2 region plane
 // (region-fail, corrupt) without the storage latency model.
-func chaosSpecs(ctx *RunContext) []Spec {
+func chaosSpecs() []Spec {
 	return []Spec{
-		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindPS, DramGB: 80, Ctx: ctx}),
-		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindTH, DramGB: 80, Ctx: ctx}),
-		SparkSpec(SparkRun{Workload: "LR", Runtime: rt.KindTH, DramGB: 43, Ctx: ctx}),
-		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindNG2C, DramGB: 44, DatasetScale: 30.0 / 80.0, Ctx: ctx,
+		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindPS, DramGB: 80}),
+		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindTH, DramGB: 80}),
+		SparkSpec(SparkRun{Workload: "LR", Runtime: rt.KindTH, DramGB: 43}),
+		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindNG2C, DramGB: 44, DatasetScale: 30.0 / 80.0,
 			THConfig: func(c *core.Config) { c.EnableMoveHint = false }}),
-		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindDeca, DramGB: 44, DatasetScale: 30.0 / 80.0, Ctx: ctx}),
-		GiraphSpec(GiraphRun{Workload: "PR", Mode: giraph.ModeTH, DramGB: 74, Ctx: ctx,
+		SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindDeca, DramGB: 44, DatasetScale: 30.0 / 80.0}),
+		GiraphSpec(GiraphRun{Workload: "PR", Mode: giraph.ModeTH, DramGB: 74,
 			THConfig: func(c *core.Config) {
 				c.EnableMoveHint = false
 				c.LowThreshold = 0
 			}}),
-		GiraphSpec(GiraphRun{Workload: "PR", Mode: giraph.ModeTH, DramGB: 74, Ctx: ctx,
+		GiraphSpec(GiraphRun{Workload: "PR", Mode: giraph.ModeTH, DramGB: 74,
 			THConfig: func(c *core.Config) { c.LowThreshold = 0 }}),
 	}
 }
 
 // RunChaos executes the chaos schedule under the given fault plan with the
-// full-heap invariant verifier enabled for every run. The plan and the
-// verifier ride a scoped RunContext — the process-default context is
-// never modified. A nil plan runs the schedule fault-free (the baseline
+// full-heap invariant verifier enabled for every run. The runs inherit
+// the rest of ctx (gang size, writeback queue, workers); ctx itself is
+// not modified. A nil plan runs the schedule fault-free (the baseline
 // the determinism CI job compares against).
-func RunChaos(plan *fault.Plan) ChaosResult {
-	ctx := &RunContext{Verify: true, FaultPlan: plan}
-	return ChaosResult{Plan: plan, Runs: RunAll(chaosSpecs(ctx))}
+func RunChaos(ctx *RunContext, plan *fault.Plan) ChaosResult {
+	return ChaosResult{Plan: plan, Runs: RunAll(chaosContext(ctx, plan), chaosSpecs())}
+}
+
+// chaosContext derives the chaos schedules' context from ctx: the
+// verifier forced on and plan swapped in.
+func chaosContext(ctx *RunContext, plan *fault.Plan) *RunContext {
+	c := *ctx.orZero()
+	c.Verify = true
+	c.FaultPlan = plan
+	return &c
 }

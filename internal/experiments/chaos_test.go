@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
+	"github.com/carv-repro/teraheap-go/internal/simclock"
 )
 
 // chaosTestPlan is an aggressive-but-survivable schedule: transient errors
@@ -23,12 +24,12 @@ func chaosTestPlan(t *testing.T) *fault.Plan {
 // aggressive fault plan with the verifier on, every run ends in a typed
 // outcome — degraded, faulted, or OOM — and none panics.
 func TestChaosSurvivesFaultSchedule(t *testing.T) {
-	res := RunChaos(chaosTestPlan(t))
+	res := RunChaos(&RunContext{}, chaosTestPlan(t))
 	if res.Panicked() {
 		t.Fatalf("chaos run panicked:\n%s", res.Format())
 	}
-	if len(res.Runs) != len(chaosSpecs(nil)) {
-		t.Fatalf("got %d runs, want %d", len(res.Runs), len(chaosSpecs(nil)))
+	if len(res.Runs) != len(chaosSpecs()) {
+		t.Fatalf("got %d runs, want %d", len(res.Runs), len(chaosSpecs()))
 	}
 	healthy, recovered, degraded, faulted, oom, panicked := res.Counts()
 	if healthy+recovered+degraded+faulted+oom+panicked != len(res.Runs) {
@@ -59,30 +60,41 @@ func TestChaosSameSeedIsDeterministic(t *testing.T) {
 		t.Skip("two full chaos schedules in -short mode")
 	}
 	plan := chaosTestPlan(t)
-	a := RunChaos(plan).Format()
-	b := RunChaos(plan).Format()
+	a := RunChaos(&RunContext{}, plan).Format()
+	b := RunChaos(&RunContext{}, plan).Format()
 	if a != b {
 		t.Fatalf("same-seed chaos reports differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
 
-// TestChaosGlobalsRestored checks RunChaos leaves the process-default
-// context the way it found it (it runs on scoped contexts and never
-// touches the default).
+// TestChaosGlobalsRestored checks RunChaos leaves the caller's context
+// the way it found it: the verified, faulted context the schedule runs
+// under is a copy.
 func TestChaosGlobalsRestored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full chaos schedule in -short mode")
 	}
-	prevVerify := SetVerify(false)
-	defer SetVerify(prevVerify)
-	prevPlan := SetFaultPlan(nil)
-	defer SetFaultPlan(prevPlan)
-	RunChaos(chaosTestPlan(t))
-	if SetVerify(false) {
-		t.Error("verify toggle left enabled after RunChaos")
+	ctx := &RunContext{GCWorkers: 2, WritebackDepth: 4}
+	RunChaos(ctx, chaosTestPlan(t))
+	if *ctx != (RunContext{GCWorkers: 2, WritebackDepth: 4}) {
+		t.Errorf("RunChaos modified the caller's context: %+v", *ctx)
 	}
-	if FaultPlan() != nil {
-		t.Error("fault plan left installed after RunChaos")
+}
+
+// TestChaosContextInheritsGang pins that the chaos schedules run under
+// the caller's gang size: the first chaos spec (PR/spark-sd/80GB) at a
+// 4-worker gang must charge different GC time than at the serial one.
+func TestChaosContextInheritsGang(t *testing.T) {
+	spec := []Spec{chaosSpecs()[0]}
+	serial := RunAll(chaosContext(&RunContext{}, nil), spec)[0]
+	gang := RunAll(chaosContext(&RunContext{GCWorkers: 4}, nil), spec)[0]
+	if serial.Name != "PR/spark-sd/80GB" {
+		t.Fatalf("first chaos spec is %s, want PR/spark-sd/80GB", serial.Name)
+	}
+	if serial.B.Get(simclock.MajorGC) == gang.B.Get(simclock.MajorGC) &&
+		serial.B.Get(simclock.MinorGC) == gang.B.Get(simclock.MinorGC) {
+		t.Errorf("GC time identical at gang 1 and 4 (major %v, minor %v): the chaos context dropped GCWorkers",
+			gang.B.Get(simclock.MajorGC), gang.B.Get(simclock.MinorGC))
 	}
 }
 
@@ -99,7 +111,7 @@ func TestChaosRecoversFromPersistentRegionFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := RunChaos(plan)
+	res := RunChaos(&RunContext{}, plan)
 	if res.Panicked() {
 		t.Fatalf("chaos run panicked:\n%s", res.Format())
 	}
@@ -110,7 +122,7 @@ func TestChaosRecoversFromPersistentRegionFailure(t *testing.T) {
 	if recovered == 0 {
 		t.Fatalf("no run recovered under a persistent region-failure plan:\n%s", res.Format())
 	}
-	base := RunChaos(nil)
+	base := RunChaos(&RunContext{}, nil)
 	for i, run := range res.Runs {
 		if run.Checksum != base.Runs[i].Checksum {
 			t.Errorf("%s: checksum %g after salvage != fault-free %g — recovery changed the answer",

@@ -9,10 +9,7 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"strings"
-	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/fault"
@@ -58,8 +55,8 @@ type SparkRun struct {
 	THConfig func(*core.Config)
 	// Stripes stripes the H2/off-heap device across N units (0/1 = one).
 	Stripes int
-	// Ctx scopes the run's cross-cutting configuration (verification,
-	// fault injection); nil uses the process default.
+	// Ctx scopes the run's cross-cutting configuration; nil is the zero
+	// context.
 	Ctx *RunContext
 }
 
@@ -84,15 +81,11 @@ type RunResult struct {
 	DevStats storage.Stats
 	Checksum float64
 
-	// PageFaults counts H2 page-cache faults (TeraHeap runs only);
-	// SeqFaults is the readahead-covered subset.
+	// PageFaults counts H2 page-cache faults (TeraHeap runs only).
 	PageFaults int64
-	SeqFaults  int64
 	// FinalLowThreshold is the low threshold after any dynamic
 	// adaptation (TeraHeap runs only).
 	FinalLowThreshold float64
-	// H2UsedBytes is the second heap's live allocation at run end.
-	H2UsedBytes int64
 
 	// Recovery snapshots the self-healing layer's counters (TeraHeap runs
 	// with recovery installed only).
@@ -131,11 +124,7 @@ func (r RunResult) Row() metrics.Row {
 func (r RunResult) RowNamed(name string) metrics.Row {
 	row := metrics.Row{Name: name, B: r.B, OOM: r.OOM, Fault: r.Faulted || r.Failed}
 	if row.Fault {
-		if i := strings.IndexByte(r.FailErr, '\n'); i >= 0 {
-			row.Note = r.FailErr[:i]
-		} else {
-			row.Note = r.FailErr
-		}
+		row.Note = firstLine(r.FailErr)
 	}
 	if r.Recovered() {
 		row.Recovered = true
@@ -313,6 +302,12 @@ func SparkWorkloads() []string {
 	return []string{"PR", "CC", "SSSP", "SVD", "TR", "LR", "LgR", "SVM", "BC", "RL"}
 }
 
+// name is the run's row name; the kind registry supplies the runtime
+// label.
+func (r SparkRun) name() string {
+	return fmt.Sprintf("%s/%s/%.0fGB", r.Workload, r.Runtime.SparkLabel(), r.DramGB)
+}
+
 // RunSpark executes one Spark configuration and returns its result.
 func RunSpark(cfg SparkRun) RunResult {
 	spec, ok := sparkSpecs[cfg.Workload]
@@ -326,130 +321,33 @@ func RunSpark(cfg SparkRun) RunResult {
 		cfg.DatasetScale = 1
 	}
 	datasetBytes := int64(float64(GB(spec.datasetGB)) * cfg.DatasetScale)
-	heapGB := cfg.DramGB - DR2GB
-	if heapGB < 2 {
-		heapGB = 2
+	sspec, heapGB := rt.SizeKind(cfg.Runtime, cfg.DramGB, DR2GB, spec.datasetGB*cfg.DatasetScale,
+		spec.thH1Frac, spec.hugePages, Scale)
+	if sspec.TH != nil && cfg.THConfig != nil {
+		cfg.THConfig(sspec.TH)
 	}
-
-	rctx := cfg.Ctx.orDefault()
-	sspec := rt.Spec{
-		Clock:          simclock.New(),
-		DeviceKind:     cfg.Device,
-		Stripes:        cfg.Stripes,
-		Verify:         rctx.Verify,
-		FaultPlan:      rctx.FaultPlan,
-		GCWorkers:      rctx.GCWorkers,
-		WritebackDepth: rctx.WritebackDepth,
-	}
-	sspec.Kind = cfg.Runtime
+	sspec.DeviceKind = cfg.Device
+	sspec.Stripes = cfg.Stripes
 	mode := spark.ModeSD
-	switch cfg.Runtime {
-	case rt.KindPS, rt.KindG1:
-		sspec.H1Size = GB(heapGB)
-		mode = spark.ModeSD
-	case rt.KindTH, rt.KindG1TH, rt.KindNG2C, rt.KindDeca:
-		h1, thCfg := sparkTHSizing(spec, cfg, heapGB).Resolve()
-		if cfg.THConfig != nil {
-			cfg.THConfig(&thCfg)
-		}
-		sspec.H1Size = h1
-		sspec.TH = &thCfg
+	switch {
+	case sspec.TH != nil:
 		mode = spark.ModeTH
-	case rt.KindMO:
-		// Spark-MO: heap sized to fit everything, NVM memory mode with
-		// DRAM as hardware cache.
-		sspec.H1Size = GB(spec.datasetGB*cfg.DatasetScale*3.2 + 16)
-		sspec.DRAMCacheBytes = GB(cfg.DramGB - 2)
+	case cfg.Runtime == rt.KindMO || cfg.Runtime == rt.KindPanthera:
+		// Spark-MO and Panthera cache everything on their NVM-backed heap.
 		mode = spark.ModeMO
-	case rt.KindPanthera:
-		// 25% DRAM / 75% NVM heap split (§7.5).
-		sspec.H1Size = GB(64)
-		sspec.DRAMOldBytes = GB(6)
-		mode = spark.ModeMO
-	default:
-		panic(fmt.Sprintf("experiments: unknown runtime kind %v (valid: %s)",
-			cfg.Runtime, strings.Join(rt.KindNames(), " ")))
 	}
-	// Row labels come from the kind registry (the six legacy labels are
-	// byte-identical to the hand-written ones they replace).
-	name := fmt.Sprintf("%s/%s/%.0fGB", spec.name, cfg.Runtime.SparkLabel(), cfg.DramGB)
-	ses := rt.NewSession(sspec)
-	runtime, th, dev := ses.Runtime, ses.TH, ses.Device
-	clock := ses.Clock
-
-	ctx := spark.NewContext(spark.Conf{
-		RT:                runtime,
-		Mode:              mode,
-		Threads:           cfg.Threads,
-		SerKind:           serde.Kryo,
-		OffHeapDev:        dev,
-		OffHeapCacheBytes: GB(DR2GB),
-		OnHeapCacheBytes:  GB(heapGB) / 2,
+	return execute(cfg.name(), sspec, cfg.Ctx, func(ses *rt.Session, res *RunResult) error {
+		ctx := spark.NewContext(spark.Conf{
+			RT:                ses.Runtime,
+			Mode:              mode,
+			Threads:           cfg.Threads,
+			SerKind:           serde.Kryo,
+			OffHeapDev:        ses.Device,
+			OffHeapCacheBytes: GB(DR2GB),
+			OnHeapCacheBytes:  GB(heapGB) / 2,
+		})
+		var err error
+		res.Checksum, err = spec.run(ctx, datasetBytes)
+		return err
 	})
-
-	checksum, err := spec.run(ctx, datasetBytes)
-	// Settle the writeback queue before snapshotting: residual service
-	// time belongs to the run that submitted it (no-op when disabled).
-	dev.DrainWriteback()
-	res := RunResult{Name: name, Checksum: checksum}
-	res.B = clock.Breakdown()
-	res.GCStats = *runtime.GCStats()
-	res.DevStats = dev.Stats()
-	if th != nil {
-		s := th.Stats()
-		res.THStats = &s
-		res.PageFaults = th.Mapped().Cache().Faults
-		res.SeqFaults = th.Mapped().Cache().SeqFaults
-		res.FinalLowThreshold = th.LowThresholdNow()
-		res.H2UsedBytes = th.UsedBytes()
-	}
-	res.FaultStats = ses.Injector.Stats()
-	res.Recovery = ses.RecoveryStats()
-	res.Placement = ses.PlacementStats()
-	if err != nil {
-		var oom *gc.OOMError
-		var flt *gc.FaultError
-		switch {
-		case errors.As(err, &flt):
-			res.Faulted = true
-			res.FailErr = flt.Error()
-		case errors.As(err, &oom) || runtime.OOM() != nil:
-			res.OOM = true
-		default:
-			panic(fmt.Sprintf("experiments: %s failed: %v", name, err))
-		}
-	}
-	// A device failure latched after the workload's last allocation (or on
-	// a runtime without collector-level polling, like the G1 baseline)
-	// still fails the run.
-	if e := ses.Fault(); e != nil && !res.Faulted {
-		res.Faulted = true
-		res.FailErr = e.Error()
-	}
-	noteOutcome(res)
-	return res
-}
-
-// sparkTHSizing maps a Table 3 workload onto the shared TeraHeap sizing
-// rule: the Spark H1 fractions were hand-tuned at the DR2=16 points
-// (where H1 is 0.8 of the executor budget), and the H2 page cache gets
-// the fixed system reserve.
-func sparkTHSizing(spec *sparkSpec, cfg SparkRun, heapGB float64) rt.THSizing {
-	return rt.THSizing{
-		BudgetGB:    heapGB,
-		H1Frac:      spec.thH1Frac,
-		TunedAtFrac: 0.8,
-		DatasetGB:   spec.datasetGB * cfg.DatasetScale,
-		CacheGB:     DR2GB,
-		HugePages:   spec.hugePages,
-		BytesPerGB:  Scale,
-	}
-}
-
-// chargeableDuration is a small helper used by reports.
-func pct(part, whole time.Duration) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * float64(part) / float64(whole)
 }

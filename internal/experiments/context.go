@@ -6,15 +6,19 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/fault"
 )
 
-// RunContext carries the cross-cutting per-run configuration — heap
-// verification and fault injection — as an explicit, immutable value.
-// Runs that leave their Ctx field nil pick up the process default (set
-// by the CLI's -verify/-fault flags via SetVerify/SetFaultPlan); runs
-// with an explicit context are completely scoped by it, so two runs with
-// different verify/fault settings execute concurrently without bleeding
-// into each other (the chaos harness relies on this).
+// RunContext carries the cross-cutting run configuration — heap
+// verification, fault injection, the GC gang, the writeback queue and
+// the executor's worker count — as one explicit value. The CLI builds it
+// from its flags and passes it to every figure; figures hand it to
+// RunAll, which runs each spec under it unless the spec carries its own.
+// A nil context means the zero context: no verification, no faults,
+// serial GC charge, no writeback queue, GOMAXPROCS workers.
 //
-// A RunContext must not be mutated after it is handed to a run.
+// Contexts derived from one by copying (the worker-scaling figure's
+// per-gang contexts, the chaos schedules' verified ones) share its
+// failure counter, so the CLI's exit code sees every run. Two runs with
+// different contexts execute concurrently without bleeding into each
+// other. A RunContext must not be mutated after it is handed to a run.
 type RunContext struct {
 	// Verify registers the full-heap invariant verifier on the run's
 	// runtime (the TH_VERIFY=1 environment variable achieves the same at
@@ -32,108 +36,52 @@ type RunContext struct {
 	// WritebackDepth enables the device's asynchronous writeback queue
 	// (rt.Spec.WritebackDepth); 0 is the legacy flat discount.
 	WritebackDepth int
+	// Workers is the executor's worker count for RunAll (the CLI's -j);
+	// 0 means GOMAXPROCS.
+	Workers int
+
+	// failures counts the runs RunAll executed under this context, or
+	// under a copy of it, that ended OOM, faulted, or panicked. Nil on a
+	// context that does not count (see Counting).
+	failures *atomic.Int64
 }
 
-// defaultCtx holds the process-default RunContext. It is the one
-// sanctioned piece of package-level state (besides the badRuns counter):
-// a pointer swap on flag parsing, read-only during runs.
-var defaultCtx atomic.Pointer[RunContext]
+// Counting returns a copy of c that counts its failed runs: RunAll under
+// the copy, or under any copy derived from it, adds each run that ended
+// OOM, faulted, or panicked to one shared counter, which Failures reads.
+func (c RunContext) Counting() *RunContext {
+	c.failures = new(atomic.Int64)
+	return &c
+}
 
-func init() { defaultCtx.Store(&RunContext{}) }
+// Failures returns the number of failed runs counted so far; 0 for a
+// context that does not count.
+func (c *RunContext) Failures() int64 {
+	if c == nil || c.failures == nil {
+		return 0
+	}
+	return c.failures.Load()
+}
 
-// DefaultContext returns the current process-default run context (never
-// nil). The returned value is shared: treat it as read-only.
-func DefaultContext() *RunContext { return defaultCtx.Load() }
+// tally counts r if it failed and c counts failures.
+func (c *RunContext) tally(r RunResult) {
+	if c.failures != nil && (r.OOM || r.Faulted || r.Failed) {
+		c.failures.Add(1)
+	}
+}
 
-// orDefault resolves a run's context field.
-func (c *RunContext) orDefault() *RunContext {
+// or resolves a run's context field: c itself, or d when c is nil.
+func (c *RunContext) or(d *RunContext) *RunContext {
 	if c == nil {
-		return DefaultContext()
+		return d
 	}
 	return c
 }
 
-// newInjector builds the context's per-run injector (nil when fault-free).
-func (c *RunContext) newInjector() *fault.Injector { return fault.NewInjector(c.FaultPlan) }
-
-// SetVerify toggles heap verification in the process-default context and
-// returns the previous setting. It is a shim over DefaultContext for the
-// teraheap-bench -verify flag; runs wanting scoped behaviour pass their
-// own RunContext instead.
-func SetVerify(v bool) bool {
-	for {
-		old := defaultCtx.Load()
-		if old.Verify == v {
-			return old.Verify
-		}
-		next := *old
-		next.Verify = v
-		if defaultCtx.CompareAndSwap(old, &next) {
-			return old.Verify
-		}
+// orZero resolves a nil context to a fresh zero context.
+func (c *RunContext) orZero() *RunContext {
+	if c == nil {
+		return &RunContext{}
 	}
+	return c
 }
-
-// SetFaultPlan installs the fault plan in the process-default context
-// (nil disables injection) and returns the previous plan. Like SetVerify
-// it is a shim for the -fault flag.
-func SetFaultPlan(p *fault.Plan) *fault.Plan {
-	for {
-		old := defaultCtx.Load()
-		next := *old
-		next.FaultPlan = p
-		if defaultCtx.CompareAndSwap(old, &next) {
-			return old.FaultPlan
-		}
-	}
-}
-
-// FaultPlan returns the process-default fault plan, or nil.
-func FaultPlan() *fault.Plan { return DefaultContext().FaultPlan }
-
-// SetGCWorkers sets the simulated GC gang size in the process-default
-// context (values below 1 normalize to 1) and returns the previous
-// setting. It is a shim for the -gc-workers flag.
-func SetGCWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	for {
-		old := defaultCtx.Load()
-		if old.GCWorkers == n {
-			return old.GCWorkers
-		}
-		next := *old
-		next.GCWorkers = n
-		if defaultCtx.CompareAndSwap(old, &next) {
-			return old.GCWorkers
-		}
-	}
-}
-
-// GCWorkers returns the process-default GC gang size (0 and 1 both mean
-// the legacy serial charge).
-func GCWorkers() int { return DefaultContext().GCWorkers }
-
-// SetWritebackDepth sets the device writeback queue depth in the
-// process-default context (values below 0 normalize to 0 = disabled) and
-// returns the previous setting. It is a shim for the -wb-depth flag.
-func SetWritebackDepth(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	for {
-		old := defaultCtx.Load()
-		if old.WritebackDepth == n {
-			return old.WritebackDepth
-		}
-		next := *old
-		next.WritebackDepth = n
-		if defaultCtx.CompareAndSwap(old, &next) {
-			return old.WritebackDepth
-		}
-	}
-}
-
-// WritebackDepth returns the process-default writeback queue depth.
-func WritebackDepth() int { return DefaultContext().WritebackDepth }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
+	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 )
 
@@ -19,27 +22,21 @@ func bleedTestPlan(t *testing.T) *fault.Plan {
 	return p
 }
 
-// TestRunContextNoBleed is the config-bleed regression test: a run with a
-// scoped verified+faulted context and a run on the process default
-// (verification off, no plan) execute concurrently under an explicit
-// 4-worker pool, and neither inherits the other's settings — the faulted
-// runs record injected faults, the default runs record none, and the
-// process-default context is untouched afterwards.
+// TestRunContextNoBleed is the config-bleed regression test: runs with a
+// scoped verified+faulted context and runs that inherit RunAll's zero
+// context execute concurrently under a 4-worker pool, and neither picks
+// up the other's settings — the faulted runs record injected faults, the
+// inheriting runs record none.
 func TestRunContextNoBleed(t *testing.T) {
-	if DefaultContext().Verify || FaultPlan() != nil {
-		t.Fatal("test requires pristine process defaults")
-	}
-	defer ResetBadRuns()
-
 	ctx := &RunContext{Verify: true, FaultPlan: bleedTestPlan(t)}
 	mk := func(c *RunContext) Spec {
 		return SparkSpec(SparkRun{Workload: "PR", Runtime: rt.KindTH, DramGB: 80,
 			DatasetScale: 0.05, Ctx: c})
 	}
-	// Interleave scoped and default-context runs so the pool runs both
-	// kinds at once.
+	// Interleave scoped and inheriting runs so the pool runs both kinds
+	// at once.
 	specs := []Spec{mk(ctx), mk(nil), mk(ctx), mk(nil)}
-	runs := RunAllWorkers(specs, 4)
+	runs := RunAll(&RunContext{Workers: 4}, specs)
 
 	for i, run := range runs {
 		scoped := i%2 == 0
@@ -51,7 +48,7 @@ func TestRunContextNoBleed(t *testing.T) {
 				i, run.Name, run.FaultStats.String())
 		}
 		if !scoped && run.FaultStats.Any() {
-			t.Errorf("run %d (%s): default-context run absorbed the scoped run's fault plan: %s",
+			t.Errorf("run %d (%s): inheriting run absorbed the scoped run's fault plan: %s",
 				i, run.Name, run.FaultStats.String())
 		}
 	}
@@ -61,37 +58,56 @@ func TestRunContextNoBleed(t *testing.T) {
 		t.Errorf("same-plan runs diverged: %s vs %s",
 			runs[0].FaultStats.String(), runs[2].FaultStats.String())
 	}
-	if DefaultContext().Verify || FaultPlan() != nil {
-		t.Error("scoped runs mutated the process-default context")
+}
+
+// TestRunContextCountsFailures pins the exit-code counter: RunAll counts
+// failed runs on a counting context and on every copy derived from it,
+// from several goroutines at once, and a context built as a literal
+// counts nothing.
+func TestRunContextCountsFailures(t *testing.T) {
+	bad := SparkSpec(SparkRun{Workload: "BOGUS", Runtime: rt.KindPS, DramGB: 80})
+	ctx := RunContext{Workers: 2}.Counting()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		derived := *ctx
+		derived.GCWorkers = i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			RunAll(&derived, []Spec{bad, bad})
+		}()
+	}
+	RunAll(ctx, []Spec{bad})
+	wg.Wait()
+	if got := ctx.Failures(); got != 9 {
+		t.Errorf("Failures() = %d after 9 panicking runs, want 9", got)
+	}
+	literal := &RunContext{}
+	RunAll(literal, []Spec{bad})
+	if got := literal.Failures(); got != 0 {
+		t.Errorf("a literal context counted %d failures, want 0", got)
 	}
 }
 
-// TestSetVerifySetFaultPlanShims: the CLI-facing setters are shims over
-// the default context — they swap values atomically and report the
-// previous setting, and scoped contexts never observe them.
-func TestSetVerifySetFaultPlanShims(t *testing.T) {
-	if prev := SetVerify(true); prev {
-		t.Error("SetVerify(true): previous setting should have been false")
+// TestPanickingRunKeepsItsName: a run that panics is reported under the
+// name its runner would have minted — for Giraph, including the mode.
+func TestPanickingRunKeepsItsName(t *testing.T) {
+	runs := RunAll(&RunContext{}, []Spec{
+		GiraphSpec(GiraphRun{Workload: "X", Mode: giraph.ModeTH, DramGB: 74}),
+		GiraphSpec(GiraphRun{Workload: "X", Mode: giraph.ModeOOC, DramGB: 74}),
+		SparkSpec(SparkRun{Workload: "X", Runtime: rt.KindTH, DramGB: 32}),
+		{Serve: &ServeRun{Kind: rt.Kind(99)}},
+	})
+	want := []string{"X/th/74GB", "X/ooc/74GB", "X/th/32GB", "serve/Kind(99)/56GB/r0k"}
+	for i, run := range runs {
+		if !run.Failed {
+			t.Errorf("run %d (%s) did not fail", i, run.Name)
+		}
+		if run.Name != want[i] {
+			t.Errorf("run %d: failed result named %q, want %q", i, run.Name, want[i])
+		}
 	}
-	if !DefaultContext().Verify {
-		t.Error("DefaultContext().Verify should be true after SetVerify(true)")
-	}
-	plan := bleedTestPlan(t)
-	if prev := SetFaultPlan(plan); prev != nil {
-		t.Errorf("SetFaultPlan: previous plan should have been nil, got %v", prev)
-	}
-	if FaultPlan() != plan {
-		t.Error("FaultPlan() should return the installed plan")
-	}
-	// A scoped context is unaffected by the default's settings.
-	scoped := &RunContext{}
-	if got := scoped.orDefault(); got != scoped {
-		t.Error("an explicit context must resolve to itself, not the default")
-	}
-	if prev := SetFaultPlan(nil); prev != plan {
-		t.Errorf("SetFaultPlan(nil): previous plan should have been the installed one")
-	}
-	if prev := SetVerify(false); !prev {
-		t.Error("SetVerify(false): previous setting should have been true")
+	if !strings.Contains(runs[0].FailErr, `unknown Giraph workload "X"`) {
+		t.Errorf("failed Giraph run lost its cause: %q", runs[0].FailErr)
 	}
 }

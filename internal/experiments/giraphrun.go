@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/carv-repro/teraheap-go/internal/core"
-	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/giraph"
 	"github.com/carv-repro/teraheap-go/internal/heap"
 	"github.com/carv-repro/teraheap-go/internal/rt"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 	"github.com/carv-repro/teraheap-go/internal/vm"
 	"github.com/carv-repro/teraheap-go/internal/workloads"
 )
@@ -53,9 +50,18 @@ type GiraphRun struct {
 	THConfig     func(*core.Config)
 	// AnalyzeRegions runs the Fig 10 region-liveness analysis at the end.
 	AnalyzeRegions bool
-	// Ctx scopes the run's cross-cutting configuration (verification,
-	// fault injection); nil uses the process default.
+	// Ctx scopes the run's cross-cutting configuration; nil is the zero
+	// context.
 	Ctx *RunContext
+}
+
+// name is the run's row name.
+func (r GiraphRun) name() string {
+	mode := "ooc"
+	if r.Mode == giraph.ModeTH {
+		mode = "th"
+	}
+	return fmt.Sprintf("%s/%s/%.0fGB", r.Workload, mode, r.DramGB)
 }
 
 // RunGiraph executes one Giraph configuration.
@@ -85,105 +91,45 @@ func RunGiraph(cfg GiraphRun) RunResult {
 		return &hc
 	}
 
-	rctx := cfg.Ctx.orDefault()
-	sspec := rt.Spec{
-		Clock:          simclock.New(),
-		Verify:         rctx.Verify,
-		FaultPlan:      rctx.FaultPlan,
-		GCWorkers:      rctx.GCWorkers,
-		WritebackDepth: rctx.WritebackDepth,
-	}
-	var name string
-	switch cfg.Mode {
-	case giraph.ModeTH:
+	var sspec rt.Spec
+	if cfg.Mode == giraph.ModeTH {
 		h1, thCfg := giraphTHSizing(spec, cfg).Resolve()
 		if cfg.THConfig != nil {
 			cfg.THConfig(&thCfg)
 		}
-		sspec.Kind = rt.KindTH
-		sspec.H1Size = h1
-		sspec.HeapCfg = giraphHeapCfg(h1)
-		sspec.TH = &thCfg
-		name = fmt.Sprintf("%s/th/%.0fGB", spec.name, cfg.DramGB)
-	default:
-		heapGB := cfg.DramGB * spec.oocHeapFrac
-		sspec.Kind = rt.KindPS
-		sspec.H1Size = GB(heapGB)
-		sspec.HeapCfg = giraphHeapCfg(GB(heapGB))
-		name = fmt.Sprintf("%s/ooc/%.0fGB", spec.name, cfg.DramGB)
+		sspec = rt.Spec{Kind: rt.KindTH, H1Size: h1, HeapCfg: giraphHeapCfg(h1), TH: &thCfg}
+	} else {
+		h1 := GB(cfg.DramGB * spec.oocHeapFrac)
+		sspec = rt.Spec{Kind: rt.KindPS, H1Size: h1, HeapCfg: giraphHeapCfg(h1)}
 	}
-	ses := rt.NewSession(sspec)
-	jvm := ses.Runtime.(*rt.JVM)
-	th, dev, clock := ses.TH, ses.Device, ses.Clock
-
-	res := RunResult{Name: name}
-	finish := func(err error) RunResult {
-		// Settle the writeback queue before snapshotting (no-op when
-		// disabled).
-		dev.DrainWriteback()
-		res.B = clock.Breakdown()
-		res.GCStats = *jvm.GCStats()
-		res.DevStats = dev.Stats()
-		if th != nil {
-			s := th.Stats()
-			res.THStats = &s
-			res.PageFaults = th.Mapped().Cache().Faults
-			res.FinalLowThreshold = th.LowThresholdNow()
-			res.H2UsedBytes = th.UsedBytes()
-		}
-		res.FaultStats = ses.Injector.Stats()
-		res.Recovery = ses.RecoveryStats()
+	return execute(cfg.name(), sspec, cfg.Ctx, func(ses *rt.Session, res *RunResult) error {
+		jvm := ses.Runtime.(*rt.JVM)
+		eng, err := giraph.NewEngine(giraph.Conf{
+			RT:            jvm,
+			Mode:          cfg.Mode,
+			Threads:       cfg.Threads,
+			OOCDev:        ses.Device,
+			OOCCacheBytes: GB(cfg.DramGB * (1 - spec.oocHeapFrac)),
+			// Giraph's OOC keeps data on-heap as long as it can; the old
+			// generation is 3/4 of the heap under NewRatio=3.
+			OOCHighWater: 0.62,
+		}, g, spec.parts)
 		if err != nil {
-			var oom *gc.OOMError
-			var flt *gc.FaultError
-			switch {
-			case errors.As(err, &flt):
-				res.Faulted = true
-				res.FailErr = flt.Error()
-			case errors.As(err, &oom) || jvm.OOM() != nil:
-				res.OOM = true
-			default:
-				panic(fmt.Sprintf("experiments: %s failed: %v", name, err))
-			}
-			noteOutcome(res)
-			return res
+			return err
 		}
-		if f := ses.Fault(); f != nil && !res.Faulted {
-			res.Faulted = true
-			res.FailErr = f.Error()
+		vals, err := eng.Run(spec.prog(g))
+		if err != nil {
+			return err
 		}
-		noteOutcome(res)
-		return res
-	}
-
-	eng, err := giraph.NewEngine(giraph.Conf{
-		RT:            jvm,
-		Mode:          cfg.Mode,
-		Threads:       cfg.Threads,
-		OOCDev:        dev,
-		OOCCacheBytes: GB(cfg.DramGB * (1 - spec.oocHeapFrac)),
-		// Giraph's OOC keeps data on-heap as long as it can; the old
-		// generation is 3/4 of the heap under NewRatio=3.
-		OOCHighWater: 0.62,
-	}, g, spec.parts)
-	if err != nil {
-		return finish(err)
-	}
-	vals, err := eng.Run(spec.prog(g))
-	if err == nil {
 		res.Checksum = sum64(vals)
-		if cfg.AnalyzeRegions && th != nil {
-			// Shutdown collections: the first moves any still-advised
-			// groups (receiving regions are pinned for their cycle), the
-			// second reclaims everything that died; then measure.
-			if jvm.FullGC() == nil && jvm.FullGC() == nil {
-				th.AnalyzeLiveRegions(collectH2Roots(jvm))
-			}
-			s := th.Stats()
-			res.THStats = &s
+		// Shutdown collections for the Fig 10 analysis: the first moves
+		// any still-advised groups (receiving regions are pinned for their
+		// cycle), the second reclaims everything that died; then measure.
+		if cfg.AnalyzeRegions && ses.TH != nil && jvm.FullGC() == nil && jvm.FullGC() == nil {
+			ses.TH.AnalyzeLiveRegions(collectH2Roots(jvm))
 		}
-	}
-	return finish(err)
+		return nil
+	})
 }
 
 // giraphTHSizing maps a Table 4 workload onto the shared TeraHeap sizing

@@ -11,13 +11,12 @@ import (
 )
 
 // globalAllowlist is the closed set of package-level variables this
-// package may declare. The refactor that introduced RunContext removed
-// the old mutable config globals (verifyRuns, faultPlan); any new
-// top-level var must either be added here with justification or — for
-// per-run configuration — live on RunContext instead.
+// package may declare: only the two immutable workload tables. Run
+// configuration and the failed-run counter travel on the RunContext the
+// CLI passes down; any new top-level var must either be added here with
+// justification or — for per-run configuration — live on RunContext
+// instead.
 var globalAllowlist = map[string]string{
-	"defaultCtx":  "atomic holder for the process-default RunContext; mutated only through the SetVerify/SetFaultPlan shims",
-	"badRuns":     "atomic counter of non-healthy runs, drives the CLI exit code",
 	"sparkSpecs":  "immutable workload table (Table 3 / Fig 6-7 sizing points)",
 	"giraphSpecs": "immutable workload table (Table 4 sizing points)",
 }

@@ -73,9 +73,9 @@ func PretenureKinds(names []string) ([]rt.Kind, error) {
 	return out, nil
 }
 
-// Pretenure runs the placement figure over the given kinds (nil = every
-// registered kind, registry order).
-func Pretenure(kinds []rt.Kind) PretenureResult {
+// Pretenure runs the placement figure under ctx over the given kinds
+// (nil = every registered kind, registry order).
+func Pretenure(ctx *RunContext, kinds []rt.Kind) PretenureResult {
 	if kinds == nil {
 		kinds, _ = PretenureKinds(nil)
 	}
@@ -83,7 +83,7 @@ func Pretenure(kinds []rt.Kind) PretenureResult {
 	for _, k := range kinds {
 		specs = append(specs, SparkSpec(pretenureRun(k)))
 	}
-	runs := RunAll(specs)
+	runs := RunAll(ctx, specs)
 	res := PretenureResult{}
 	for i, k := range kinds {
 		res.Rows = append(res.Rows, PretenureRow{Result: runs[i], Kind: k})

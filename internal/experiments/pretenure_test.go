@@ -44,7 +44,6 @@ func TestPretenureKindsRegistry(t *testing.T) {
 // labelled epochs eagerly. Hints are disabled on the NG2C run so the
 // profiler, not the h2_move advisory, decides placement.
 func TestNewKindsVerifiedRuns(t *testing.T) {
-	defer ResetBadRuns()
 	ctx := &RunContext{Verify: true}
 	for _, tc := range []struct {
 		kind rt.Kind

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
 
 	"github.com/carv-repro/teraheap-go/internal/fault"
-	"github.com/carv-repro/teraheap-go/internal/gc"
 	"github.com/carv-repro/teraheap-go/internal/metrics"
 	"github.com/carv-repro/teraheap-go/internal/recovery"
 	"github.com/carv-repro/teraheap-go/internal/rt"
 	"github.com/carv-repro/teraheap-go/internal/server"
-	"github.com/carv-repro/teraheap-go/internal/simclock"
 )
 
 // DefaultServeDramGB is the serve plane's machine size: the heap after
@@ -30,99 +27,36 @@ type ServeRun struct {
 	// the default). The chaos serve schedule tightens the breaker so a
 	// trip and re-admission both happen inside one run.
 	Recovery *recovery.Policy
-	// Ctx scopes the run's cross-cutting configuration; nil uses the
-	// process default.
+	// Ctx scopes the run's cross-cutting configuration; nil is the zero
+	// context.
 	Ctx *RunContext
 }
 
+// dramGB is the run's DRAM budget with the serve default applied.
+func (r ServeRun) dramGB() float64 {
+	if r.DramGB == 0 {
+		return DefaultServeDramGB
+	}
+	return r.DramGB
+}
+
+// name is the run's row name.
+func (r ServeRun) name() string {
+	return fmt.Sprintf("serve/%s/%.0fGB/r%gk", r.Kind, r.dramGB(), r.Cfg.RatePerSec/1000)
+}
+
 // RunServe executes one serve configuration: it sizes a session for the
-// requested kind exactly like the Spark runs do, hands it to server.Run,
-// and maps the outcome onto the shared RunResult shape.
+// requested kind exactly like the Spark runs do, with the store as the
+// dataset, and hands it to server.Run.
 func RunServe(cfg ServeRun) RunResult {
-	if cfg.DramGB == 0 {
-		cfg.DramGB = DefaultServeDramGB
-	}
-	heapGB := cfg.DramGB - DR2GB
-	if heapGB < 2 {
-		heapGB = 2
-	}
 	storeGB := float64(cfg.Cfg.StoreBytes()) / float64(Scale)
-
-	rctx := cfg.Ctx.orDefault()
-	sspec := rt.Spec{
-		Clock:          simclock.New(),
-		Verify:         rctx.Verify,
-		FaultPlan:      rctx.FaultPlan,
-		GCWorkers:      rctx.GCWorkers,
-		WritebackDepth: rctx.WritebackDepth,
-		Recovery:       cfg.Recovery,
-	}
-	sspec.Kind = cfg.Kind
-	switch cfg.Kind {
-	case rt.KindPS, rt.KindG1:
-		sspec.H1Size = GB(heapGB)
-	case rt.KindTH, rt.KindG1TH, rt.KindNG2C, rt.KindDeca:
-		h1, thCfg := rt.THSizing{
-			BudgetGB:    heapGB,
-			H1Frac:      0.8,
-			TunedAtFrac: 0.8,
-			DatasetGB:   storeGB,
-			CacheGB:     DR2GB,
-			BytesPerGB:  Scale,
-		}.Resolve()
-		sspec.H1Size = h1
-		sspec.TH = &thCfg
-	case rt.KindMO:
-		sspec.Kind = rt.KindMO
-		sspec.H1Size = GB(storeGB*3.2 + 16)
-		sspec.DRAMCacheBytes = GB(cfg.DramGB - 2)
-	case rt.KindPanthera:
-		sspec.Kind = rt.KindPanthera
-		sspec.H1Size = GB(64)
-		sspec.DRAMOldBytes = GB(6)
-	default:
-		panic(fmt.Sprintf("experiments: unknown runtime kind %v (valid: %s)",
-			cfg.Kind, strings.Join(rt.KindNames(), " ")))
-	}
-	name := fmt.Sprintf("serve/%s/%.0fGB/r%gk", cfg.Kind, cfg.DramGB, cfg.Cfg.RatePerSec/1000)
-
-	ses := rt.NewSession(sspec)
-	stats, err := server.Run(ses, cfg.Cfg)
-	ses.Device.DrainWriteback()
-
-	res := RunResult{Name: name, Serve: stats}
-	res.B = ses.Clock.Breakdown()
-	res.GCStats = *ses.Runtime.GCStats()
-	res.DevStats = ses.Device.Stats()
-	if ses.TH != nil {
-		s := ses.TH.Stats()
-		res.THStats = &s
-		res.PageFaults = ses.TH.Mapped().Cache().Faults
-		res.SeqFaults = ses.TH.Mapped().Cache().SeqFaults
-		res.FinalLowThreshold = ses.TH.LowThresholdNow()
-		res.H2UsedBytes = ses.TH.UsedBytes()
-	}
-	res.FaultStats = ses.Injector.Stats()
-	res.Recovery = ses.RecoveryStats()
-	if err != nil {
-		var oom *gc.OOMError
-		var flt *gc.FaultError
-		switch {
-		case errors.As(err, &flt):
-			res.Faulted = true
-			res.FailErr = flt.Error()
-		case errors.As(err, &oom) || ses.Runtime.OOM() != nil:
-			res.OOM = true
-		default:
-			panic(fmt.Sprintf("experiments: %s failed: %v", name, err))
-		}
-	}
-	if e := ses.Fault(); e != nil && !res.Faulted {
-		res.Faulted = true
-		res.FailErr = e.Error()
-	}
-	noteOutcome(res)
-	return res
+	sspec, _ := rt.SizeKind(cfg.Kind, cfg.dramGB(), DR2GB, storeGB, 0.8, false, Scale)
+	sspec.Recovery = cfg.Recovery
+	return execute(cfg.name(), sspec, cfg.Ctx, func(ses *rt.Session, res *RunResult) error {
+		var err error
+		res.Serve, err = server.Run(ses, cfg.Cfg)
+		return err
+	})
 }
 
 // DefaultServeRates are the sweep's offered arrival rates: under-loaded,
@@ -164,11 +98,10 @@ type ServeResult struct {
 }
 
 // ServeSweep runs the arrival-rate x runtime-kind sweep on the base
-// config (rates nil uses DefaultServeRates). The sweep inherits the
-// process-default RunContext, so -verify/-fault/-gc-workers/-wb-depth
-// apply; like the worker-scaling figure it is deliberately not part of
-// "all".
-func ServeSweep(base server.Config, rates []float64) ServeResult {
+// config (rates nil uses DefaultServeRates) under ctx, so
+// -verify/-fault/-gc-workers/-wb-depth apply; like the worker-scaling
+// figure it is deliberately not part of "all".
+func ServeSweep(ctx *RunContext, base server.Config, rates []float64) ServeResult {
 	if len(rates) == 0 {
 		rates = DefaultServeRates()
 	}
@@ -178,11 +111,10 @@ func ServeSweep(base server.Config, rates []float64) ServeResult {
 		for _, r := range rates {
 			cfg := base
 			cfg.RatePerSec = r
-			run := ServeRun{Kind: k, Cfg: cfg}
-			specs = append(specs, Spec{Fn: func() RunResult { return RunServe(run) }})
+			specs = append(specs, Spec{Serve: &ServeRun{Kind: k, Cfg: cfg}})
 		}
 	}
-	runs := RunAll(specs)
+	runs := RunAll(ctx, specs)
 
 	res := ServeResult{Rates: append([]float64(nil), rates...), Results: runs}
 	i := 0
@@ -272,27 +204,22 @@ func DefaultChaosServePlan() *fault.Plan {
 
 // ChaosServe runs the chaos serve schedule under the given plan (nil uses
 // DefaultChaosServePlan) with the verifier forced on: the TeraHeap pair at
-// the default and 3x-overload rates around the PS baseline. Like RunChaos
-// it scopes everything through an explicit RunContext.
-func ChaosServe(plan *fault.Plan, base server.Config) ChaosServeResult {
+// the default and 3x-overload rates around the PS baseline. The runs
+// inherit the rest of ctx (gang size, writeback queue, workers).
+func ChaosServe(ctx *RunContext, plan *fault.Plan, base server.Config) ChaosServeResult {
 	if plan == nil {
 		plan = DefaultChaosServePlan()
 	}
-	ctx := &RunContext{Verify: true, FaultPlan: plan}
+	cctx := chaosContext(ctx, plan)
 	pol := chaosServePolicy()
 	hi := base
 	hi.RatePerSec = base.RatePerSec * 3
-	runs := []ServeRun{
-		{Kind: rt.KindTH, Cfg: base, Recovery: pol, Ctx: ctx},
-		{Kind: rt.KindPS, Cfg: base, Ctx: ctx},
-		{Kind: rt.KindTH, Cfg: hi, Recovery: pol, Ctx: ctx},
+	specs := []Spec{
+		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: base, Recovery: pol}},
+		{Serve: &ServeRun{Kind: rt.KindPS, Cfg: base}},
+		{Serve: &ServeRun{Kind: rt.KindTH, Cfg: hi, Recovery: pol}},
 	}
-	var specs []Spec
-	for _, r := range runs {
-		run := r
-		specs = append(specs, Spec{Fn: func() RunResult { return RunServe(run) }})
-	}
-	return ChaosServeResult{ChaosResult{Plan: plan, Runs: RunAll(specs)}}
+	return ChaosServeResult{ChaosResult{Plan: plan, Runs: RunAll(cctx, specs)}}
 }
 
 // ThroughputRecovered reports whether a run's serve windows show the

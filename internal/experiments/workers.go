@@ -29,10 +29,9 @@ type WorkerScalingResult struct {
 func DefaultWorkerCounts() []int { return []int{1, 2, 4, 8} }
 
 // WorkerScaling runs the Figure 7 pair across the given gang sizes (nil
-// uses DefaultWorkerCounts). Every run scopes its own RunContext: the
-// process default's verification, fault, and writeback settings are
-// inherited; only GCWorkers varies.
-func WorkerScaling(counts []int) WorkerScalingResult {
+// uses DefaultWorkerCounts). Each run gets a copy of ctx with GCWorkers
+// set to its gang size; everything else is inherited.
+func WorkerScaling(ctx *RunContext, counts []int) WorkerScalingResult {
 	if len(counts) == 0 {
 		counts = DefaultWorkerCounts()
 	}
@@ -44,22 +43,18 @@ func WorkerScaling(counts []int) WorkerScalingResult {
 		{"spark-pr/th/80GB", rt.KindTH},
 	}
 
-	base := DefaultContext()
+	ctx = ctx.orZero()
 	var specs []Spec
 	for _, cfg := range configs {
 		for _, w := range counts {
-			ctx := &RunContext{
-				Verify:         base.Verify,
-				FaultPlan:      base.FaultPlan,
-				WritebackDepth: base.WritebackDepth,
-				GCWorkers:      w,
-			}
+			wctx := *ctx
+			wctx.GCWorkers = w
 			specs = append(specs, SparkSpec(SparkRun{
-				Workload: "PR", Runtime: cfg.runtime, DramGB: 80, Ctx: ctx,
+				Workload: "PR", Runtime: cfg.runtime, DramGB: 80, Ctx: &wctx,
 			}))
 		}
 	}
-	runs := RunAll(specs)
+	runs := RunAll(ctx, specs)
 
 	res := WorkerScalingResult{Workers: append([]int(nil), counts...)}
 	i := 0

@@ -1,6 +1,9 @@
 package rt
 
 import (
+	"fmt"
+	"strings"
+
 	"github.com/carv-repro/teraheap-go/internal/core"
 	"github.com/carv-repro/teraheap-go/internal/storage"
 )
@@ -44,8 +47,10 @@ type THSizing struct {
 
 // gb converts paper gigabytes to simulator bytes, 64-byte aligned —
 // operation-for-operation the experiments.GB conversion.
-func (s THSizing) gb(g float64) int64 {
-	return int64(g*float64(s.BytesPerGB)) &^ 63
+func (s THSizing) gb(g float64) int64 { return gbBytes(g, s.BytesPerGB) }
+
+func gbBytes(g float64, bytesPerGB int64) int64 {
+	return int64(g*float64(bytesPerGB)) &^ 63
 }
 
 // H1GB returns the H1 size in paper GB, clamped to the budget.
@@ -76,4 +81,53 @@ func (s THSizing) Resolve() (h1Bytes int64, thCfg core.Config) {
 		thCfg.PageSize = 64 * storage.KB // scaled huge pages
 	}
 	return s.gb(h1), thCfg
+}
+
+// SizeKind sizes a runtime kind for a DRAM budget: the one per-kind
+// sizing rule of the Spark and serve runs (Giraph's Table 4 sizing only
+// builds PS and TeraHeap and keeps its own). It returns a Spec with Kind
+// and the sizing fields set, plus the managed-heap budget in paper GB:
+// DRAM minus reserveGB, clamped to at least 2 GB.
+//
+//   - PS and G1 get the whole heap budget as H1.
+//   - TeraHeap kinds go through THSizing with the H1 fraction tuned at
+//     0.8 and the reserve as the H2 page cache.
+//   - MO sizes its NVM heap to fit everything (dataset·3.2 + 16 GB) with
+//     DRAM minus 2 GB as the hardware cache.
+//   - Panthera gets a fixed 64 GB heap with 6 GB of DRAM old generation
+//     (the paper's 25% DRAM / 75% NVM split, §7.5).
+//
+// Keep each float expression's operation order: every figure depends on
+// these byte sizes bit for bit. Unknown kinds panic.
+func SizeKind(kind Kind, dramGB, reserveGB, datasetGB, h1Frac float64, hugePages bool, bytesPerGB int64) (Spec, float64) {
+	heapGB := dramGB - reserveGB
+	if heapGB < 2 {
+		heapGB = 2
+	}
+	spec := Spec{Kind: kind}
+	switch {
+	case kind == KindPS || kind == KindG1:
+		spec.H1Size = gbBytes(heapGB, bytesPerGB)
+	case kind.Info().TeraHeap:
+		h1, thCfg := THSizing{
+			BudgetGB:    heapGB,
+			H1Frac:      h1Frac,
+			TunedAtFrac: 0.8,
+			DatasetGB:   datasetGB,
+			CacheGB:     reserveGB,
+			HugePages:   hugePages,
+			BytesPerGB:  bytesPerGB,
+		}.Resolve()
+		spec.H1Size = h1
+		spec.TH = &thCfg
+	case kind == KindMO:
+		spec.H1Size = gbBytes(datasetGB*3.2+16, bytesPerGB)
+		spec.DRAMCacheBytes = gbBytes(dramGB-2, bytesPerGB)
+	case kind == KindPanthera:
+		spec.H1Size = gbBytes(64, bytesPerGB)
+		spec.DRAMOldBytes = gbBytes(6, bytesPerGB)
+	default:
+		panic(fmt.Sprintf("rt: unknown runtime kind %v (valid: %s)", kind, strings.Join(KindNames(), " ")))
+	}
+	return spec, heapGB
 }

@@ -135,3 +135,56 @@ func TestTHSizingClampsToBudget(t *testing.T) {
 		t.Fatalf("h1 bytes: got %d want %d", h1, testGB(64))
 	}
 }
+
+// TestSizeKindLegacyFormulas pins SizeKind to the per-runner expressions
+// it replaced, evaluated verbatim, for every registered kind: the heap
+// budget (DRAM minus the reserve, clamped at 2 GB), PS/G1's whole-heap
+// H1, the TeraHeap kinds' THSizing, MO's dataset-fitting NVM heap and
+// Panthera's fixed split. Unknown kinds panic.
+func TestSizeKindLegacyFormulas(t *testing.T) {
+	const reserve = 16.0
+	for _, dram := range []float64{17, 44, 80} {
+		for _, dataset := range []float64{30, 70 * 0.375} {
+			heapGB := dram - reserve
+			if heapGB < 2 {
+				heapGB = 2
+			}
+			for _, e := range Kinds() {
+				spec, gotHeap := SizeKind(e.Kind, dram, reserve, dataset, 0.77, true, testScale)
+				if spec.Kind != e.Kind || gotHeap != heapGB {
+					t.Fatalf("%s/%v: kind %v heap %v, want %v heap %v", e.Name, dram, spec.Kind, gotHeap, e.Kind, heapGB)
+				}
+				var want Spec
+				switch e.Kind {
+				case KindPS, KindG1:
+					want.H1Size = testGB(heapGB)
+				case KindTH, KindG1TH, KindNG2C, KindDeca:
+					h1, cfg := THSizing{BudgetGB: heapGB, H1Frac: 0.77, TunedAtFrac: 0.8, DatasetGB: dataset,
+						CacheGB: reserve, HugePages: true, BytesPerGB: testScale}.Resolve()
+					want.H1Size, want.TH = h1, &cfg
+				case KindMO:
+					want.H1Size = testGB(dataset*3.2 + 16)
+					want.DRAMCacheBytes = testGB(dram - 2)
+				case KindPanthera:
+					want.H1Size = testGB(64)
+					want.DRAMOldBytes = testGB(6)
+				default:
+					t.Fatalf("kind %s has no legacy formula", e.Name)
+				}
+				if spec.H1Size != want.H1Size || spec.DRAMCacheBytes != want.DRAMCacheBytes || spec.DRAMOldBytes != want.DRAMOldBytes {
+					t.Errorf("%s/%vGB/%vGB: sizes %d/%d/%d, want %d/%d/%d", e.Name, dram, dataset,
+						spec.H1Size, spec.DRAMCacheBytes, spec.DRAMOldBytes, want.H1Size, want.DRAMCacheBytes, want.DRAMOldBytes)
+				}
+				if (spec.TH == nil) != (want.TH == nil) || (spec.TH != nil && *spec.TH != *want.TH) {
+					t.Errorf("%s/%vGB/%vGB: TeraHeap config %+v, want %+v", e.Name, dram, dataset, spec.TH, want.TH)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SizeKind(Kind(99)) did not panic")
+		}
+	}()
+	SizeKind(Kind(99), 80, reserve, 30, 0.8, false, testScale)
+}
