@@ -27,6 +27,8 @@ var goldens = []struct {
 	{"workers.csv", []string{"-csv", "workers"}, 0},
 	{"chaos.txt", []string{"chaos"}, 0},
 	{"chaos-region-fail.txt", []string{"-fault", "seed=1,region-fail=0.02,wb-fail=0.05,torn=0.05", "chaos"}, 0},
+	// Faulted runs print FAULT in their cells, not normalized times.
+	{"fig13a-fault.txt", []string{"-fault", "seed=3,dev-err=0.3,max-retries=1", "fig13a"}, 1},
 }
 
 // TestGoldenSubcommands runs each subcommand at -j 2 and compares its

@@ -187,6 +187,26 @@ func TestFig7CleanExitsZero(t *testing.T) {
 	}
 }
 
+// TestCSVWithoutCSVFormIsUsageError pins that -csv on an experiment
+// without a CSV form is a usage error naming the experiments that have
+// one, instead of silently printing the text table.
+func TestCSVWithoutCSVFormIsUsageError(t *testing.T) {
+	for _, what := range []string{"fig8", "fig13a", "table5", "barrier", "ablation-g1th", "chaos", "chaos-serve", "all", "bench"} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-csv", what}, &stdout, &stderr); code != 2 {
+			t.Errorf("-csv %s: exit code = %d, want 2", what, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-csv %s: printed output:\n%s", what, stdout.String())
+		}
+		for _, form := range csvForms {
+			if !strings.Contains(stderr.String(), form) {
+				t.Errorf("-csv %s: error does not name %s:\n%s", what, form, stderr.String())
+			}
+		}
+	}
+}
+
 // TestFig7UnderFatalFaultsExitsOneWithResults drives fig7 into a latched
 // persistent device failure: the run must not panic, the table must still
 // print (partial results), and the exit code must be 1.

@@ -9,7 +9,7 @@ import (
 
 // noteObjStart records an object header position for card scanning.
 func (g *G1) noteObjStart(a vm.Addr) {
-	i := int64(a-g.cardsBase) / int64(g.cfg.CardSize)
+	i := int64(a-g.cardsBase) / cardSize
 	if g.startArr == nil {
 		g.startArr = make([]vm.Addr, len(g.cards))
 	}
@@ -22,8 +22,8 @@ func (g *G1) clearStartRange(r *region) {
 	if g.startArr == nil {
 		return
 	}
-	lo := int64(r.start-g.cardsBase) / int64(g.cfg.CardSize)
-	hi := int64(r.end-1-g.cardsBase) / int64(g.cfg.CardSize)
+	lo := int64(r.start-g.cardsBase) / cardSize
+	hi := int64(r.end-1-g.cardsBase) / cardSize
 	for i := lo; i <= hi; i++ {
 		g.startArr[i] = vm.NullAddr
 	}

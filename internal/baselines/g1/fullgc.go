@@ -180,11 +180,11 @@ func (g *G1) fullGC() error {
 	}
 
 	// Full GC is single-threaded and expensive.
-	cpu := time.Duration(objects)*g.cfg.Costs.MarkPerObject +
-		time.Duration(refs+adjRefs)*g.cfg.Costs.ScanPerRef +
-		time.Duration(packedBytes)*g.cfg.Costs.CopyPerByte
+	cpu := time.Duration(objects)*gc.MarkPerObject +
+		time.Duration(refs+adjRefs)*gc.ScanPerRef +
+		time.Duration(packedBytes)*gc.CopyPerByte
 	g.clock.Charge(simclock.MajorGC, cpu)
-	g.clock.Charge(simclock.MajorGC, g.cfg.Costs.PausePerGC)
+	g.clock.Charge(simclock.MajorGC, gc.PausePerGC)
 
 	delta := g.clock.Breakdown().Sub(before)
 	g.th.FinishMajor(g.usedBytes(), g.cfg.H1Size)

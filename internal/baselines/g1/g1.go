@@ -33,6 +33,18 @@ const (
 	regHumongousCont
 )
 
+// G1 policy and layout constants.
+const (
+	// mixedLiveThreshold: old regions with a lower live fraction are
+	// eligible for mixed collections (G1's garbage-first policy).
+	mixedLiveThreshold = 0.65
+	tenureAge          = 3
+	cardSize           = 512
+	// concurrencyDiscount scales marking cost (concurrent with mutator).
+	concurrencyDiscount = 0.25
+	gcThreads           = 8
+)
+
 // Config sizes the G1 heap.
 type Config struct {
 	H1Size     int64
@@ -43,15 +55,6 @@ type Config struct {
 	// IHOP is the old-space occupancy fraction that starts concurrent
 	// marking (G1 default 0.45).
 	IHOP float64
-	// MixedLiveThreshold: old regions with a lower live fraction are
-	// eligible for mixed collections (G1's garbage-first policy).
-	MixedLiveThreshold float64
-	TenureAge          int
-	CardSize           int
-	// ConcurrencyDiscount scales marking cost (concurrent with mutator).
-	ConcurrencyDiscount float64
-	GCThreads           int
-	Costs               gc.CostParams
 	// Verify runs the full-heap invariant verifier before and after every
 	// collection (the TH_VERIFY=1 environment variable also forces it on).
 	Verify bool
@@ -72,15 +75,9 @@ func DefaultConfig(h1Size int64) Config {
 		p *= 2
 	}
 	return Config{
-		H1Size:              h1Size / p * p,
-		RegionSize:          p,
-		IHOP:                0.45,
-		MixedLiveThreshold:  0.65,
-		TenureAge:           3,
-		CardSize:            512,
-		ConcurrencyDiscount: 0.25,
-		GCThreads:           8,
-		Costs:               gc.DefaultCostParams(),
+		H1Size:     h1Size / p * p,
+		RegionSize: p,
+		IHOP:       0.45,
 	}
 }
 
@@ -176,7 +173,7 @@ func New(cfg Config, classes *vm.ClassTable, clock *simclock.Clock) *G1 {
 		g.free = append(g.free, i)
 	}
 	g.cardsBase = vm.H1Base
-	g.cards = make([]byte, (cfg.H1Size+int64(cfg.CardSize)-1)/int64(cfg.CardSize))
+	g.cards = make([]byte, (cfg.H1Size+cardSize-1)/cardSize)
 	g.youngTarget = cfg.YoungTarget
 	if g.youngTarget <= 0 {
 		g.youngTarget = n / 4
@@ -240,11 +237,11 @@ func (g *G1) humongousWords() int {
 }
 
 func (g *G1) chargeGC(cat simclock.Category, d time.Duration) {
-	g.clock.Charge(cat, d/time.Duration(g.cfg.GCThreads))
+	g.clock.Charge(cat, d/gcThreads)
 }
 
 func (g *G1) markCard(a vm.Addr) {
-	g.cards[int64(a-g.cardsBase)/int64(g.cfg.CardSize)] = 1
+	g.cards[int64(a-g.cardsBase)/cardSize] = 1
 }
 
 // latchOOM records the out-of-memory condition (subsequent allocations
@@ -254,10 +251,6 @@ func (g *G1) latchOOM(e *gc.OOMError) *gc.OOMError {
 	g.hooks.OnOOM(e)
 	return e
 }
-
-// AddressSpace exposes the G1 heap's address space so a second heap can
-// be mapped into it.
-func (g *G1) AddressSpace() *vm.AddressSpace { return g.as }
 
 // AttachSecondHeap wires a TeraHeap into the collector (TeraHeap-under-
 // G1). Must be called before any allocation.

@@ -43,8 +43,8 @@ func (g *G1) markAndMixed() (int, error) {
 	// cycle (§7.1); this also frees humongous runs whose objects left.
 	movedToH2 := g.moveClosuresToH2()
 	// Concurrent marking: most of the traversal overlaps the mutator.
-	cpu := time.Duration(float64(time.Duration(objects)*g.cfg.Costs.MarkPerObject+
-		time.Duration(refs)*g.cfg.Costs.ScanPerRef) * g.cfg.ConcurrencyDiscount)
+	cpu := time.Duration(float64(time.Duration(objects)*gc.MarkPerObject+
+		time.Duration(refs)*gc.ScanPerRef) * concurrencyDiscount)
 	g.chargeGC(simclock.MajorGC, cpu)
 
 	// Reclaim wholly-dead humongous runs and old regions eagerly.
@@ -86,7 +86,7 @@ func (g *G1) markAndMixed() (int, error) {
 		}
 	})
 
-	g.clock.Charge(simclock.MajorGC, g.cfg.Costs.PausePerGC)
+	g.clock.Charge(simclock.MajorGC, gc.PausePerGC)
 	delta := g.clock.Breakdown().Sub(before)
 	g.th.FinishMajor(g.usedBytes(), g.cfg.H1Size)
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{
@@ -183,7 +183,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 	var cands []cand
 	for _, id := range g.old {
 		r := g.regions[id]
-		if float64(r.liveBytes) < g.cfg.MixedLiveThreshold*float64(g.cfg.RegionSize) {
+		if float64(r.liveBytes) < mixedLiveThreshold*float64(g.cfg.RegionSize) {
 			cands = append(cands, cand{id, r.liveBytes})
 		}
 	}
@@ -264,7 +264,7 @@ func (g *G1) mixedEvacuate() (int64, int, error) {
 			a += vm.Addr(size * vm.WordSize)
 		}
 	}
-	g.chargeGC(simclock.MajorGC, time.Duration(moved)*g.cfg.Costs.CopyPerByte)
+	g.chargeGC(simclock.MajorGC, time.Duration(moved)*gc.CopyPerByte)
 
 	// Fix references everywhere (modelled remembered-set cost: charged
 	// proportional to the moved volume, already covered above; the walk

@@ -34,9 +34,6 @@ func (g *G1) AllocPrimArray(c *vm.Class, n int) (vm.Addr, error) {
 	return g.allocObject(c, 0, vm.HeaderWords+n)
 }
 
-// AllocCold is a plain allocation on G1 (no pretenuring).
-func (g *G1) AllocCold(c *vm.Class) (vm.Addr, error) { return g.Alloc(c) }
-
 // AllocColdRefArray is a plain reference-array allocation.
 func (g *G1) AllocColdRefArray(c *vm.Class, n int) (vm.Addr, error) {
 	return g.AllocRefArray(c, n)
@@ -61,7 +58,7 @@ func (g *G1) allocObject(c *vm.Class, numRefs, sizeWords int) (vm.Addr, error) {
 // WriteRef stores a reference with G1's post-write barrier, extended with
 // the H2 reference range check when a second heap is attached.
 func (g *G1) WriteRef(obj vm.Addr, field int, val vm.Addr) {
-	g.clock.Charge(simclock.Other, g.cfg.Costs.BarrierCost)
+	g.clock.Charge(simclock.Other, gc.BarrierCost)
 	g.stats.BarrierExecutions++
 	if g.th.Contains(obj) {
 		g.mem.SetRefAt(obj, field, val)

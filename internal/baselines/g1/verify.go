@@ -62,9 +62,6 @@ func (g *G1) SetVerify(v bool) {
 	g.vhook = nil
 }
 
-// VerifyEnabled reports whether the verifier hook is registered.
-func (g *G1) VerifyEnabled() bool { return g.vhook != nil }
-
 // VerifyNow runs every invariant rule against the quiescent heap and
 // returns all violations found.
 func (g *G1) VerifyNow() []check.Failure {
@@ -410,7 +407,7 @@ func (g *G1) verifyCards(live []g1obj, report func(check.Failure)) {
 			if t.IsNull() || !g.inYoung(t) {
 				continue
 			}
-			ci := int(int64(o.addr-g.cardsBase) / int64(g.cfg.CardSize))
+			ci := int(int64(o.addr-g.cardsBase) / cardSize)
 			if g.cards[ci] == 0 {
 				report(check.Failure{Rule: "g1-card-missing-dirty", Space: kindName(o.region.kind),
 					Region: o.region.id, Card: ci, Holder: o.addr, Field: f,
@@ -432,7 +429,7 @@ func (g *G1) verifyStartArr(live []g1obj, husks []vm.Addr, report func(check.Fai
 		if r == nil || (r.kind != regOld && r.kind != regHumongousStart) {
 			return
 		}
-		i := int64(a-g.cardsBase) / int64(g.cfg.CardSize)
+		i := int64(a-g.cardsBase) / cardSize
 		if want[i].IsNull() || a < want[i] {
 			want[i] = a
 		}

@@ -112,7 +112,7 @@ func (g *G1) youngGCNoMark() error {
 			}
 			return false
 		}
-		if g.policy.Promote(site, age, g.cfg.TenureAge) {
+		if g.policy.Promote(site, age, tenureAge) {
 			promoted = place(&curOld, regOld)
 		}
 		if !ok {
@@ -162,8 +162,8 @@ func (g *G1) youngGCNoMark() error {
 			continue
 		}
 		g.cards[ci] = 0
-		lo := g.cardsBase + vm.Addr(int64(ci)*int64(g.cfg.CardSize))
-		hi := lo + vm.Addr(g.cfg.CardSize)
+		lo := g.cardsBase + vm.Addr(int64(ci)*cardSize)
+		hi := lo + vm.Addr(cardSize)
 		var obj vm.Addr
 		if g.startArr != nil {
 			obj = g.startArr[ci]
@@ -233,12 +233,12 @@ func (g *G1) youngGCNoMark() error {
 		g.releaseRegion(g.regions[id])
 	}
 
-	cpu := time.Duration(bytesCopied+bytesPromoted)*g.cfg.Costs.CopyPerByte +
-		time.Duration(refsScanned)*g.cfg.Costs.ScanPerRef +
-		time.Duration(cardsScanned)*g.cfg.Costs.PerCard +
-		time.Duration(cardObjects)*g.cfg.Costs.PerCardObject
+	cpu := time.Duration(bytesCopied+bytesPromoted)*gc.CopyPerByte +
+		time.Duration(refsScanned)*gc.ScanPerRef +
+		time.Duration(cardsScanned)*gc.PerCard +
+		time.Duration(cardObjects)*gc.PerCardObject
 	g.chargeGC(simclock.MinorGC, cpu)
-	g.clock.Charge(simclock.MinorGC, g.cfg.Costs.PausePerGC)
+	g.clock.Charge(simclock.MinorGC, gc.PausePerGC)
 
 	delta := g.clock.Breakdown().Sub(before)
 	g.stats.Cycles = append(g.stats.Cycles, gc.Cycle{

@@ -43,12 +43,6 @@ type Failure struct {
 	Detail string  // human-readable diagnosis
 }
 
-// New returns a Failure for rule with every positional field unset;
-// callers fill in what they know.
-func New(rule, detail string) Failure {
-	return Failure{Rule: rule, Region: -1, Card: -1, Field: -1, Detail: detail}
-}
-
 // String renders the failure with only the fields that are set.
 func (f Failure) String() string {
 	var b strings.Builder
@@ -152,11 +146,6 @@ func NewVerifier() *Verifier {
 	}
 	return vr
 }
-
-// VerifyPS runs every invariant rule against a quiescent (outside-pause)
-// PS heap and returns all violations found. One-shot convenience over
-// (*Verifier).VerifyPS.
-func VerifyPS(v PSView) []Failure { return NewVerifier().VerifyPS(v) }
 
 // VerifyPS runs every invariant rule against a quiescent (outside-pause)
 // PS heap and returns all violations found.

@@ -42,9 +42,6 @@ func (t *cardTable) raise(seg int, s byte) {
 	}
 }
 
-// SizeBytes returns the DRAM footprint of the card table.
-func (t *cardTable) SizeBytes() int64 { return int64(len(t.cards)) }
-
 // ScanBackwardRefs walks allocated regions stripe by stripe, scanning the
 // objects in card segments whose state requires it: dirty and youngGen
 // segments in minor GC, plus oldGen segments in major GC (§3.4). Every
@@ -146,9 +143,9 @@ func (th *TeraHeap) ScanBackwardRefs(major bool, visit func(uint64, vm.Addr) vm.
 		}
 	}
 
-	cpu := time.Duration(cardsExamined)*th.cfg.CardScanCost +
-		time.Duration(objectsScanned)*th.cfg.ObjScanCost
-	th.clock.ChargeAmbient(cpu / time.Duration(th.cfg.GCThreads))
+	cpu := time.Duration(cardsExamined)*cardScanCost +
+		time.Duration(objectsScanned)*objScanCost
+	th.clock.ChargeAmbient(cpu / gcThreads)
 	th.stats.CardsScanned += cardsExamined
 	th.stats.H2ObjectsScanned += objectsScanned
 	if !major {

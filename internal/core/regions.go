@@ -112,9 +112,6 @@ func (r *region) takeReservation(dst vm.Addr) (int, bool) {
 	return 0, false
 }
 
-// pendingResv returns the number of outstanding reservations.
-func (r *region) pendingResv() int { return len(r.resv) - r.resvHead }
-
 // openLabel is one entry of the open-region-per-label table.
 type openLabel struct {
 	label uint64
@@ -233,7 +230,6 @@ func (th *TeraHeap) PrepareMove(label uint64, sizeWords int) (vm.Addr, bool) {
 		r.segFirst[seg] = a
 	}
 	r.resv = append(r.resv, reservation{addr: a, words: int32(sizeWords)})
-	th.reservedCount++
 	th.stats.ObjectsMoved++
 	th.stats.BytesMoved += int64(need)
 	return a, true
@@ -297,12 +293,11 @@ func (th *TeraHeap) CommitMove(dst vm.Addr, image []uint64) {
 	} else if want != len(image) {
 		panic(fmt.Sprintf("core: CommitMove size mismatch at %v: reserved %d, image %d", dst, want, len(image)))
 	}
-	th.reservedCount--
 	off := len(r.buf.words)
 	r.buf.words = append(r.buf.words, image...)
 	r.buf.recs = append(r.buf.recs, bufRec{word: dst.Word(vm.H2Base), off: off, n: len(image)})
 	r.buf.pendingBytes += int64(len(image)) * vm.WordSize
-	if r.buf.pendingBytes >= th.cfg.PromotionBufferBytes {
+	if r.buf.pendingBytes >= promotionBufferBytes {
 		th.flushRegion(r)
 	}
 }
@@ -514,7 +509,6 @@ func (th *TeraHeap) freeRegion(r *region) {
 	r.buf.words = r.buf.words[:0]
 	r.buf.recs = r.buf.recs[:0]
 	r.buf.pendingBytes = 0
-	th.reservedCount -= r.pendingResv()
 	r.resv = r.resv[:0]
 	r.resvHead = 0
 	r.sum = 0
@@ -554,25 +548,12 @@ func (th *TeraHeap) RetireRegion(id int) {
 	r.buf.words = r.buf.words[:0]
 	r.buf.recs = r.buf.recs[:0]
 	r.buf.pendingBytes = 0
-	th.reservedCount -= r.pendingResv()
 	r.resv = r.resv[:0]
 	r.resvHead = 0
 	r.sum = 0
 	r.bad = nil
 	r.failed = false
 	r.quarantined = true
-}
-
-// QuarantinedRegions returns the number of regions retired by the
-// recovery layer.
-func (th *TeraHeap) QuarantinedRegions() int {
-	n := 0
-	for _, r := range th.regions {
-		if r != nil && r.quarantined {
-			n++
-		}
-	}
-	return n
 }
 
 // FailedRegions returns the ids of regions marked failed and not yet
@@ -587,11 +568,6 @@ func (th *TeraHeap) FailedRegions() []int {
 	}
 	return ids
 }
-
-// PendingReservations returns the number of PrepareMove reservations not
-// yet committed. Outside a GC cycle it must be zero: a nonzero value means
-// a reservation leaked (tests and the H2-exhaustion fallback coverage).
-func (th *TeraHeap) PendingReservations() int { return th.reservedCount }
 
 // UsedBytes returns the bytes currently allocated in H2.
 func (th *TeraHeap) UsedBytes() int64 {

@@ -61,22 +61,6 @@ type Stats struct {
 // Stats returns a snapshot of the accumulated counters.
 func (th *TeraHeap) Stats() Stats { return th.stats }
 
-// AvgDepNodesPerRegion returns the mean dependency-list length across
-// regions currently holding objects (the paper reports ~10).
-func (th *TeraHeap) AvgDepNodesPerRegion() float64 {
-	n, total := 0, 0
-	for _, r := range th.regions {
-		if r != nil && !r.empty() {
-			n++
-			total += len(r.deps)
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
-}
-
 // Per-region DRAM metadata model for Table 5, mirroring Figure 2's
 // metadata: a region-array entry (head/start/top pointers + live bit,
 // padded), an average dependency list, and promotion-buffer bookkeeping.
@@ -104,17 +88,4 @@ func MetadataBytesPerTB(regionSizeBytes int64) int64 {
 	}
 	regions := (int64(1) << 40) / regionSizeBytes
 	return regions * MetadataBytesPerRegion(assumedAvgDepLen)
-}
-
-// MetadataBytes returns the live DRAM metadata footprint of this instance
-// (regions in use plus the card table).
-func (th *TeraHeap) MetadataBytes() int64 {
-	var t int64
-	for _, r := range th.regions {
-		if r == nil {
-			continue
-		}
-		t += MetadataBytesPerRegion(len(r.deps))
-	}
-	return t + th.cards.SizeBytes()
 }

@@ -64,41 +64,41 @@ type Config struct {
 	EnableMoveHint bool
 	// GroupMode selects dependency lists or Union-Find groups.
 	GroupMode GroupMode
-	// PromotionBufferBytes is the per-region staging buffer (paper: 2 MB).
-	PromotionBufferBytes int64
 	// PageSize for the H2 mapping (4 KB, or 2 MB huge pages for the Spark
 	// ML workloads).
 	PageSize int
 	// CacheBytes is the DRAM page-cache budget for H2 (the DR2 share).
 	CacheBytes int64
-	// GCThreads parallelize card scanning CPU cost.
-	GCThreads int
-	// CardScanCost and ObjScanCost price card-table work.
-	CardScanCost time.Duration
-	ObjScanCost  time.Duration
 
 	// Ext enables the future-work extensions (dynamic thresholds,
 	// size-segregated placement); zero value disables both.
 	Ext Extensions
 }
 
+// Promotion and card-scanning constants.
+const (
+	// promotionBufferBytes is the per-region staging buffer (paper: 2 MB).
+	promotionBufferBytes = 2 * storage.MB
+	// gcThreads parallelize card scanning CPU cost.
+	gcThreads = 16
+	// cardScanCost and objScanCost price card-table work.
+	cardScanCost = 2 * time.Nanosecond
+	objScanCost  = 10 * time.Nanosecond
+)
+
 // DefaultConfig returns a TeraHeap configuration for an H2 of h2Size bytes
 // on the given device-independent defaults.
 func DefaultConfig(h2Size int64) Config {
 	return Config{
-		H2Size:               h2Size,
-		RegionSize:           16 * storage.KB * 1024, // 16 MB
-		CardSegmentSize:      4 * storage.KB,
-		HighThreshold:        0.85,
-		LowThreshold:         0.50,
-		EnableMoveHint:       true,
-		GroupMode:            DependencyLists,
-		PromotionBufferBytes: 2 * storage.MB,
-		PageSize:             storage.DefaultPageSize,
-		CacheBytes:           0,
-		GCThreads:            16,
-		CardScanCost:         2 * time.Nanosecond,
-		ObjScanCost:          10 * time.Nanosecond,
+		H2Size:          h2Size,
+		RegionSize:      16 * storage.KB * 1024, // 16 MB
+		CardSegmentSize: 4 * storage.KB,
+		HighThreshold:   0.85,
+		LowThreshold:    0.50,
+		EnableMoveHint:  true,
+		GroupMode:       DependencyLists,
+		PageSize:        storage.DefaultPageSize,
+		CacheBytes:      0,
 	}
 }
 
@@ -131,10 +131,6 @@ type TeraHeap struct {
 	forceMove    bool
 	pressureLive int64 // live-byte estimate backing the current arming
 	pressureCap  int64 // old-generation capacity at arming time
-
-	// reservedCount tracks outstanding PrepareMove reservations across all
-	// regions (each region holds its own FIFO reservation queue).
-	reservedCount int
 
 	// Reusable scratch for freeDeadRegions' reachability pass.
 	reachScratch []bool
@@ -209,9 +205,6 @@ func NewChecked(cfg Config, dev *storage.Device, as *vm.AddressSpace, clock *sim
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.GCThreads < 1 {
-		cfg.GCThreads = 1
-	}
 	// Objects must not span regions, so region size bounds object size;
 	// cap H2Size to a whole number of regions.
 	numRegions := cfg.H2Size / cfg.RegionSize
@@ -248,9 +241,6 @@ func (th *TeraHeap) SetPlacementPolicy(p placement.Policy) { th.placement = p }
 
 // Mapped exposes the underlying mapping (examples, tests, experiments).
 func (th *TeraHeap) Mapped() *storage.MappedFile { return th.mapped }
-
-// Config returns the active configuration.
-func (th *TeraHeap) Config() Config { return th.cfg }
 
 // --- Hint interface (§3.2) -------------------------------------------------
 

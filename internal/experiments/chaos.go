@@ -25,16 +25,16 @@ type ChaosResult struct {
 // injected faults and still finished), or healthy.
 func (r ChaosResult) Counts() (healthy, recovered, degraded, faulted, oom, panicked int) {
 	for _, run := range r.Runs {
-		switch {
-		case run.Failed:
+		switch run.chaosStatus() {
+		case "PANIC":
 			panicked++
-		case run.Faulted:
+		case "FAULTED":
 			faulted++
-		case run.OOM:
+		case "OOM":
 			oom++
-		case run.Recovered():
+		case "RECOVERED":
 			recovered++
-		case run.Degraded():
+		case "degraded":
 			degraded++
 		default:
 			healthy++
@@ -43,16 +43,22 @@ func (r ChaosResult) Counts() (healthy, recovered, degraded, faulted, oom, panic
 	return
 }
 
-// Panicked reports whether any run died by panic — the one outcome the
-// chaos harness treats as a bug. Faulted and OOM runs are expected under
-// an aggressive plan; a panic means a fault escaped the typed-error paths.
-func (r ChaosResult) Panicked() bool {
-	for _, run := range r.Runs {
-		if run.Failed {
-			return true
-		}
+// chaosStatus is the run's status column in the chaos reports, one
+// outcome bucket of Counts.
+func (r RunResult) chaosStatus() string {
+	switch {
+	case r.Failed:
+		return "PANIC"
+	case r.Faulted:
+		return "FAULTED"
+	case r.OOM:
+		return "OOM"
+	case r.Recovered():
+		return "RECOVERED"
+	case r.Degraded():
+		return "degraded"
 	}
-	return false
+	return "ok"
 }
 
 // Format renders the chaos report. The output is a pure function of the
@@ -66,20 +72,7 @@ func (r ChaosResult) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== chaos: %d runs under plan [%s], verifier on ==\n", len(r.Runs), plan)
 	for _, run := range r.Runs {
-		status := "ok"
-		switch {
-		case run.Failed:
-			status = "PANIC"
-		case run.Faulted:
-			status = "FAULTED"
-		case run.OOM:
-			status = "OOM"
-		case run.Recovered():
-			status = "RECOVERED"
-		case run.Degraded():
-			status = "degraded"
-		}
-		fmt.Fprintf(&sb, "%-28s %-9s total=%-14v %s\n", run.Name, status,
+		fmt.Fprintf(&sb, "%-28s %-9s total=%-14v %s\n", run.Name, run.chaosStatus(),
 			run.B.Total().Round(time.Microsecond), run.FaultStats.String())
 		if run.Recovered() {
 			fmt.Fprintf(&sb, "  recovery: %s\n", run.Recovery.String())

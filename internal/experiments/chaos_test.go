@@ -135,3 +135,10 @@ func TestChaosRecoversFromPersistentRegionFailure(t *testing.T) {
 		}
 	}
 }
+
+// Panicked reports whether any run died by panic — the one outcome the
+// chaos harness treats as a bug.
+func (r ChaosResult) Panicked() bool {
+	_, _, _, _, _, panicked := r.Counts()
+	return panicked > 0
+}

@@ -58,6 +58,10 @@ type SparkRun struct {
 	// Ctx scopes the run's cross-cutting configuration; nil is the zero
 	// context.
 	Ctx *RunContext
+	// ExpectOOM declares an OOM bar of the paper: the run is expected to
+	// run out of memory, and the failure count counts it only if it
+	// does not.
+	ExpectOOM bool
 }
 
 // RunResult captures one run's outcome.
@@ -100,10 +104,27 @@ type RunResult struct {
 	Serve *server.Stats
 }
 
+// Status is the word a figure prints in place of a failed run's numbers:
+// "OOM" when the run ran out of memory, "FAULT" when a storage fault or a
+// panic ended it, and "" when it completed.
+func (r RunResult) Status() string {
+	switch {
+	case r.OOM:
+		return "OOM"
+	case r.Faulted || r.Failed:
+		return "FAULT"
+	}
+	return ""
+}
+
+// Completed reports whether the run finished, so that its timings and
+// statistics are valid.
+func (r RunResult) Completed() bool { return r.Status() == "" }
+
 // Degraded reports a run that absorbed injected faults and still completed:
 // the graceful-degradation regime the fault plane exists to exercise.
 func (r RunResult) Degraded() bool {
-	return r.FaultStats.Any() && !r.Faulted && !r.Failed && !r.OOM
+	return r.FaultStats.Any() && r.Completed()
 }
 
 // Recovered reports a run the self-healing layer actively repaired — a
@@ -111,7 +132,7 @@ func (r RunResult) Degraded() bool {
 // correct result. It refines Degraded: every Recovered run is Degraded,
 // but a run that merely absorbed transient faults is not Recovered.
 func (r RunResult) Recovered() bool {
-	return r.Recovery != nil && r.Recovery.Active() && !r.Faulted && !r.Failed && !r.OOM
+	return r.Recovery != nil && r.Recovery.Active() && r.Completed()
 }
 
 // Row converts the result to a metrics row.
@@ -122,15 +143,25 @@ func (r RunResult) Row() metrics.Row {
 // RowNamed is Row with an overridden display name (figure formatters often
 // relabel configurations).
 func (r RunResult) RowNamed(name string) metrics.Row {
-	row := metrics.Row{Name: name, B: r.B, OOM: r.OOM, Fault: r.Faulted || r.Failed}
-	if row.Fault {
-		row.Note = firstLine(r.FailErr)
-	}
+	row := metrics.Row{Name: name, B: r.B, Status: r.Status(), Note: firstLine(r.FailErr)}
 	if r.Recovered() {
 		row.Recovered = true
 		row.Note = r.Recovery.String()
 	}
 	return row
+}
+
+// ratioCell renders one cell of a normalized figure: the run's status
+// word when it failed, "-" when the run it is normalized to failed or
+// measured zero, and v(r)/v(base) otherwise.
+func ratioCell(r, base RunResult, v func(RunResult) float64) string {
+	switch {
+	case !r.Completed():
+		return r.Status()
+	case !base.Completed() || v(base) == 0:
+		return "-"
+	}
+	return fmt.Sprintf("%.3f", v(r)/v(base))
 }
 
 // sparkSpec describes one Table 3 workload.
@@ -140,6 +171,9 @@ type sparkSpec struct {
 	// Fig 6 DRAM ladders (paper values).
 	sdDramGB []float64
 	thDramGB []float64
+	// sdOOM is the number of leading sdDramGB points where the paper
+	// shows Spark-SD running out of memory.
+	sdOOM int
 	// thH1Frac is the hand-tuned H1 share of DRAM (§6: 50-90%).
 	thH1Frac float64
 	// hugePages: the paper uses 2MB mappings for the ML streamers.
@@ -208,13 +242,13 @@ func sum64(xs []float64) float64 {
 // trainings run 12 epochs — the cache:compute ratio per epoch is what
 // shapes the figures, not the epoch count).
 var sparkSpecs = map[string]*sparkSpec{
-	"PR": {name: "PR", datasetGB: 80, sdDramGB: []float64{32, 48, 80, 144}, thDramGB: []float64{32, 80}, thH1Frac: 0.8, parts: 128,
+	"PR": {name: "PR", datasetGB: 80, sdDramGB: []float64{32, 48, 80, 144}, sdOOM: 1, thDramGB: []float64{32, 80}, thH1Frac: 0.8, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(101, ds), 128)
 			r, err := g.PageRank(10)
 			return sum64(r), err
 		}},
-	"CC": {name: "CC", datasetGB: 84, sdDramGB: []float64{33, 50, 84, 152}, thDramGB: []float64{33, 84}, thH1Frac: 0.8, parts: 128,
+	"CC": {name: "CC", datasetGB: 84, sdDramGB: []float64{33, 50, 84, 152}, sdOOM: 1, thDramGB: []float64{33, 84}, thH1Frac: 0.8, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(102, ds), 128)
 			r, err := g.ConnectedComponents(12)
@@ -224,7 +258,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return s, err
 		}},
-	"SSSP": {name: "SSSP", datasetGB: 58, sdDramGB: []float64{27, 37, 58, 100}, thDramGB: []float64{37, 58}, thH1Frac: 0.72, parts: 128,
+	"SSSP": {name: "SSSP", datasetGB: 58, sdDramGB: []float64{27, 37, 58, 100}, sdOOM: 1, thDramGB: []float64{37, 58}, thH1Frac: 0.72, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(103, ds), 128)
 			r, err := g.SSSP(0, 12)
@@ -236,7 +270,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return s, err
 		}},
-	"SVD": {name: "SVD", datasetGB: 40, sdDramGB: []float64{22, 28, 40, 64}, thDramGB: []float64{28, 40}, thH1Frac: 0.85, parts: 128,
+	"SVD": {name: "SVD", datasetGB: 40, sdDramGB: []float64{22, 28, 40, 64}, sdOOM: 2, thDramGB: []float64{28, 40}, thH1Frac: 0.85, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			g := graphx.Load(ctx, graphFromBytes(104, ds), 128)
 			return g.SVDPlusPlus(5, 8)
@@ -247,7 +281,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			c, err := g.TriangleCount()
 			return float64(c), err
 		}},
-	"LR": {name: "LR", datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
+	"LR": {name: "LR", datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, sdOOM: 2, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(106, ds), 128)
 			w, err := d.LinearRegression(12)
@@ -256,7 +290,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return sum64(w), nil
 		}},
-	"LgR": {name: "LgR", datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
+	"LgR": {name: "LgR", datasetGB: 70, sdDramGB: []float64{29, 43, 70, 124}, sdOOM: 2, thDramGB: []float64{43, 70}, thH1Frac: 0.77, hugePages: true, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(107, ds), 128)
 			w, err := d.LogisticRegression(12)
@@ -265,7 +299,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return sum64(w), nil
 		}},
-	"SVM": {name: "SVM", datasetGB: 48, sdDramGB: []float64{28, 32, 36, 48}, thDramGB: []float64{36, 48}, thH1Frac: 0.67, hugePages: true, parts: 128,
+	"SVM": {name: "SVM", datasetGB: 48, sdDramGB: []float64{28, 32, 36, 48}, sdOOM: 1, thDramGB: []float64{36, 48}, thH1Frac: 0.67, hugePages: true, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			d := mllib.Load(ctx, pointsFromBytes(108, ds), 128)
 			w, err := d.SVM(12)
@@ -283,7 +317,7 @@ var sparkSpecs = map[string]*sparkSpec{
 			}
 			return m.Prior[0] + sum64(m.Mean[0]), nil
 		}},
-	"RL": {name: "RL", datasetGB: 63, sdDramGB: []float64{24, 37, 63}, thDramGB: []float64{37, 63}, thH1Frac: 0.75, parts: 128,
+	"RL": {name: "RL", datasetGB: 63, sdDramGB: []float64{24, 37, 63}, sdOOM: 2, thDramGB: []float64{37, 63}, thH1Frac: 0.75, parts: 128,
 		run: func(ctx *spark.Context, ds int64) (float64, error) {
 			tbl := sparksql.Load(ctx, rowsFromBytes(110, ds), 128)
 			c, err := tbl.RunQueryMix(6)

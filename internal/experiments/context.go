@@ -41,14 +41,16 @@ type RunContext struct {
 	Workers int
 
 	// failures counts the runs RunAll executed under this context, or
-	// under a copy of it, that ended OOM, faulted, or panicked. Nil on a
-	// context that does not count (see Counting).
+	// under a copy of it, whose outcome differs from their declaration:
+	// an undeclared OOM, a fault, a panic, or a declared OOM that did not
+	// happen. Nil on a context that does not count (see Counting).
 	failures *atomic.Int64
 }
 
 // Counting returns a copy of c that counts its failed runs: RunAll under
-// the copy, or under any copy derived from it, adds each run that ended
-// OOM, faulted, or panicked to one shared counter, which Failures reads.
+// the copy, or under any copy derived from it, adds each run whose
+// outcome differs from its declaration (see SparkRun.ExpectOOM) to one
+// shared counter, which Failures reads.
 func (c RunContext) Counting() *RunContext {
 	c.failures = new(atomic.Int64)
 	return &c
@@ -63,9 +65,14 @@ func (c *RunContext) Failures() int64 {
 	return c.failures.Load()
 }
 
-// tally counts r if it failed and c counts failures.
-func (c *RunContext) tally(r RunResult) {
-	if c.failures != nil && (r.OOM || r.Faulted || r.Failed) {
+// tally counts r if its outcome differs from its declaration (an OOM
+// when expectOOM is set, completion otherwise) and c counts failures.
+func (c *RunContext) tally(r RunResult, expectOOM bool) {
+	want := ""
+	if expectOOM {
+		want = "OOM"
+	}
+	if c.failures != nil && r.Status() != want {
 		c.failures.Add(1)
 	}
 }

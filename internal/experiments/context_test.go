@@ -111,3 +111,49 @@ func TestPanickingRunKeepsItsName(t *testing.T) {
 		t.Errorf("failed Giraph run lost its cause: %q", runs[0].FailErr)
 	}
 }
+
+// TestTallyCountsOutcomesAgainstDeclarations pins the failure count's
+// rule: a run counts when its outcome differs from its declaration, so a
+// declared OOM counts only when it does not happen.
+func TestTallyCountsOutcomesAgainstDeclarations(t *testing.T) {
+	cases := []struct {
+		r         RunResult
+		expectOOM bool
+		counts    bool
+	}{
+		{RunResult{}, false, false},
+		{RunResult{OOM: true}, false, true},
+		{RunResult{OOM: true}, true, false},
+		{RunResult{}, true, true},
+		{RunResult{Faulted: true}, true, true},
+		{RunResult{Faulted: true}, false, true},
+		{RunResult{Failed: true}, false, true},
+	}
+	for _, c := range cases {
+		ctx := RunContext{}.Counting()
+		ctx.tally(c.r, c.expectOOM)
+		if got := ctx.Failures() == 1; got != c.counts {
+			t.Errorf("%+v declared OOM=%v: counted %v, want %v", c.r, c.expectOOM, got, c.counts)
+		}
+	}
+}
+
+// TestFig6DeclaresThePaperOOMBars pins the 12 Spark-SD OOM bars of
+// Figure 6 on the run specs, all on the smallest DRAM points.
+func TestFig6DeclaresThePaperOOMBars(t *testing.T) {
+	n := 0
+	for _, w := range SparkWorkloads() {
+		for i, s := range Fig6SparkSpecs(w) {
+			if !s.Spark.ExpectOOM {
+				continue
+			}
+			n++
+			if s.Spark.Runtime != rt.KindPS || s.Spark.DramGB != sparkSpecs[w].sdDramGB[i] {
+				t.Errorf("%s: OOM declared on %s", w, s.Spark.name())
+			}
+		}
+	}
+	if n != 12 {
+		t.Errorf("%d declared OOM bars, want 12", n)
+	}
+}

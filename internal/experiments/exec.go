@@ -114,8 +114,8 @@ func GiraphSpec(r GiraphRun) Spec { return Spec{Giraph: &r} }
 
 // RunAll executes the specs under ctx across ctx.Workers executor
 // workers and returns results in submission order, so figure formatting
-// over the result slice is byte-identical to serial execution. Failed
-// runs are counted on ctx.
+// over the result slice is byte-identical to serial execution. Runs
+// that do not end as declared (SparkRun.ExpectOOM) are counted on ctx.
 //
 // A run that panics does not kill the suite: the executor recovers it into
 // a failed-run result (name + error) in that run's slot, so the merged
@@ -127,8 +127,8 @@ func RunAll(ctx *RunContext, specs []Spec) []RunResult {
 	}, func(i int, v any) RunResult {
 		return RunResult{Name: specs[i].name(), Failed: true, FailErr: fmt.Sprint(v)}
 	})
-	for _, r := range runs {
-		ctx.tally(r)
+	for i, r := range runs {
+		ctx.tally(r, specs[i].Spark != nil && specs[i].Spark.ExpectOOM)
 	}
 	return runs
 }

@@ -42,8 +42,8 @@ func Fig10(ctx *RunContext) string {
 		fmt.Fprintf(&sb, "== Fig 10: region liveness (region size = %s paper-scale) ==\n", rs.label)
 		for wi, w := range workloads {
 			r := runs[ri*len(workloads)+wi]
-			if r.OOM || r.THStats == nil {
-				fmt.Fprintf(&sb, "%-6s OOM\n", w)
+			if !r.Completed() {
+				fmt.Fprintf(&sb, "%-6s %s\n", w, r.Status())
 				continue
 			}
 			var liveObjPct, liveSpacePct []float64

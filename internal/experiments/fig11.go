@@ -53,22 +53,12 @@ func Fig11a(ctx *RunContext) string {
 		fmt.Fprintf(&sb, " %8s", s.label)
 	}
 	sb.WriteString("\n")
+	scanTime := func(r RunResult) float64 { return float64(r.THStats.MinorScanTime) }
 	for wi, w := range workloads {
-		var base time.Duration
+		row := runs[wi*len(segs) : (wi+1)*len(segs)]
 		fmt.Fprintf(&sb, "%-6s", w)
-		for i := range segs {
-			r := runs[wi*len(segs)+i]
-			t := time.Duration(0)
-			if r.THStats != nil {
-				t = r.THStats.MinorScanTime
-			}
-			if i == 0 {
-				base = t
-				if base == 0 {
-					base = 1
-				}
-			}
-			fmt.Fprintf(&sb, " %8.3f", float64(t)/float64(base))
+		for _, r := range row {
+			fmt.Fprintf(&sb, " %8s", ratioCell(r, row[0], scanTime))
 		}
 		sb.WriteString("\n")
 	}
@@ -93,8 +83,8 @@ func Fig11b(ctx *RunContext) string {
 		"wl", "cfg", "Marking", "Precompact", "Adjust", "Compact", "total")
 	for wi, w := range workloads {
 		write := func(cfg string, r RunResult) {
-			if r.OOM {
-				fmt.Fprintf(&sb, "%-6s %-4s OOM\n", w, cfg)
+			if !r.Completed() {
+				fmt.Fprintf(&sb, "%-6s %-4s %s\n", w, cfg, r.Status())
 				return
 			}
 			ph := r.GCStats.PhaseTotals()

@@ -27,7 +27,8 @@ func Fig13a(ctx *RunContext) string {
 			return SparkSpec(SparkRun{Workload: "CC", Runtime: rt.KindTH, DramGB: ccDram, Threads: t})
 		}},
 		{"Spark-LR/SD", func(t int) Spec {
-			return SparkSpec(SparkRun{Workload: "LR", Runtime: rt.KindPS, DramGB: lrDram, Threads: t})
+			// The figure's one declared OOM bar: Spark-SD LR at 16 threads.
+			return SparkSpec(SparkRun{Workload: "LR", Runtime: rt.KindPS, DramGB: lrDram, Threads: t, ExpectOOM: t == 16})
 		}},
 		{"Spark-LR/TH", func(t int) Spec {
 			return SparkSpec(SparkRun{Workload: "LR", Runtime: rt.KindTH, DramGB: lrDram, Threads: t})
@@ -48,18 +49,13 @@ func Fig13a(ctx *RunContext) string {
 	}
 	runs := RunAll(ctx, specs)
 
+	total := func(r RunResult) float64 { return float64(r.B.Total()) }
 	var sb strings.Builder
 	sb.WriteString("== Fig 13a: scaling with mutator threads (normalized to 8 threads) ==\n")
 	fmt.Fprintf(&sb, "%-22s %8s %8s %8s\n", "config", "4", "8", "16")
 	for ci, c := range configs {
 		r4, r8, r16 := runs[3*ci], runs[3*ci+1], runs[3*ci+2]
-		base := float64(r8.B.Total())
-		cell := func(r RunResult) string {
-			if r.OOM {
-				return "OOM"
-			}
-			return fmt.Sprintf("%.3f", float64(r.B.Total())/base)
-		}
+		cell := func(r RunResult) string { return ratioCell(r, r8, total) }
 		fmt.Fprintf(&sb, "%-22s %8s %8s %8s\n", c.name, cell(r4), cell(r8), cell(r16))
 	}
 	return sb.String()
@@ -110,11 +106,11 @@ func Fig13b(ctx *RunContext) string {
 		cell := func(sizeIdx int) string {
 			nat := runs[4*ci+2*sizeIdx]
 			th := runs[4*ci+2*sizeIdx+1]
-			if nat.OOM {
-				return "nat-OOM"
+			if !nat.Completed() {
+				return "nat-" + nat.Status()
 			}
-			if th.OOM {
-				return "th-OOM"
+			if !th.Completed() {
+				return "th-" + th.Status()
 			}
 			return fmt.Sprintf("%.3f", float64(th.B.Total())/float64(nat.B.Total()))
 		}

@@ -17,15 +17,16 @@ type Fig6SparkResult struct {
 }
 
 // Fig6SparkSpecs enumerates one workload's Figure 6 runs: Spark-SD across
-// its DRAM ladder, then TeraHeap at the reduced and full DRAM points.
+// its DRAM ladder, with the paper's OOM bars declared, then TeraHeap at
+// the reduced and full DRAM points.
 func Fig6SparkSpecs(workload string) []Spec {
 	spec, ok := sparkSpecs[workload]
 	if !ok {
 		panic(fmt.Sprintf("experiments: unknown Spark workload %q", workload))
 	}
 	var specs []Spec
-	for _, d := range spec.sdDramGB {
-		specs = append(specs, SparkSpec(SparkRun{Workload: workload, Runtime: rt.KindPS, DramGB: d}))
+	for i, d := range spec.sdDramGB {
+		specs = append(specs, SparkSpec(SparkRun{Workload: workload, Runtime: rt.KindPS, DramGB: d, ExpectOOM: i < spec.sdOOM}))
 	}
 	for _, d := range spec.thDramGB {
 		specs = append(specs, SparkSpec(SparkRun{Workload: workload, Runtime: rt.KindTH, DramGB: d}))

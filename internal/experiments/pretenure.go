@@ -100,7 +100,7 @@ func (r PretenureResult) Format() string {
 		"kind", "total", "minor", "minorTime", "major", "majorTime", "H2moved", "H2objs")
 	for _, row := range r.Rows {
 		res := row.Result
-		if res.OOM || res.Faulted || res.Failed {
+		if !res.Completed() {
 			fmt.Fprintf(&sb, "%-10s %12s\n", row.Kind, "FAILED "+firstLine(res.FailErr))
 			continue
 		}
@@ -154,7 +154,7 @@ func (r PretenureResult) CSV() string {
 			row.Kind, res.B.Total().Microseconds(),
 			res.GCStats.MinorCount, res.GCStats.MinorTime.Microseconds(),
 			res.GCStats.MajorCount, res.GCStats.MajorTime.Microseconds(),
-			h2Bytes, h2Objs, res.OOM, res.Faulted || res.Failed)
+			h2Bytes, h2Objs, res.Status() == "OOM", res.Status() == "FAULT")
 	}
 	return sb.String()
 }

@@ -129,7 +129,7 @@ func ServeSweep(ctx *RunContext, base server.Config, rates []float64) ServeResul
 
 // serveRow flattens a serve run into its figure row.
 func serveRow(r RunResult, rate float64) metrics.ServeRow {
-	row := metrics.ServeRow{Name: r.Name, Rate: rate, OOM: r.OOM, Fault: r.Faulted || r.Failed}
+	row := metrics.ServeRow{Name: r.Name, Rate: rate, Status: r.Status(), Note: firstLine(r.FailErr)}
 	if s := r.Serve; s != nil {
 		row.Served = s.Served
 		row.Shed = s.Shed
@@ -138,9 +138,6 @@ func serveRow(r RunResult, rate float64) metrics.ServeRow {
 		row.SLOViol = s.SLOViolations
 		row.PauseV = s.PauseViolations
 		row.RPS = s.ThroughputRPS
-	}
-	if row.Fault {
-		row.Note = firstLine(r.FailErr)
 	}
 	if r.Recovered() {
 		row.Note = strings.TrimSpace("RECOVERED " + row.Note)
@@ -250,19 +247,7 @@ func (r ChaosServeResult) Format() string {
 	fmt.Fprintf(&sb, "== chaos-serve: %d runs under plan [%s], verifier on ==\n", len(r.Runs), plan)
 	var totShed, totRetries, totSLO int64
 	for _, run := range r.Runs {
-		status := "ok"
-		switch {
-		case run.Failed:
-			status = "PANIC"
-		case run.Faulted:
-			status = "FAULTED"
-		case run.OOM:
-			status = "OOM"
-		case run.Recovered():
-			status = "RECOVERED"
-		case run.Degraded():
-			status = "degraded"
-		}
+		status := run.chaosStatus()
 		if s := run.Serve; s != nil {
 			totShed += s.Shed
 			totRetries += s.Retries

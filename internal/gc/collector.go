@@ -19,55 +19,33 @@ import (
 	"github.com/carv-repro/teraheap-go/internal/vm"
 )
 
-// CostParams prices GC and barrier CPU work in virtual time. Device I/O is
-// priced separately by internal/storage. Defaults approximate a 2.4 GHz
-// server core.
-type CostParams struct {
-	CopyPerByte    time.Duration // memcpy during scavenge/compaction
-	ScanPerRef     time.Duration // following one reference
-	MarkPerObject  time.Duration // visiting one object in mark phase
-	PerCard        time.Duration // examining one card table entry
-	PerCardObject  time.Duration // scanning one object found in a dirty card
-	BarrierCost    time.Duration // one post-write barrier execution
-	PausePerGC     time.Duration // fixed safepoint/start/stop overhead
-	MinorGCThreads int           // parallel scavenge threads (paper: 16)
-	MajorGCThreads int           // old generation threads (paper: 1)
+// GC and barrier CPU costs in virtual time. Device I/O is priced
+// separately by internal/storage. The values approximate a 2.4 GHz server
+// core.
+const (
+	// CopyPerByte prices memcpy during scavenge and compaction. Meant as
+	// ~4 GB/s per thread, but Duration is integral: it is 0, and copying
+	// is free in the model.
+	CopyPerByte   = time.Nanosecond / 4
+	ScanPerRef    = 12 * time.Nanosecond   // following one reference
+	MarkPerObject = 18 * time.Nanosecond   // visiting one object in mark phase
+	PerCard       = 2 * time.Nanosecond    // examining one card table entry
+	PerCardObject = 10 * time.Nanosecond   // scanning one object found in a dirty card
+	BarrierCost   = 1 * time.Nanosecond    // one post-write barrier execution
+	PausePerGC    = 200 * time.Microsecond // fixed safepoint/start/stop overhead
 
-	// Workers is the simulated GC gang size. At 0 or 1 (the default) each
-	// pause charges the serial sum of its CPU work divided by the phase's
-	// thread count — the legacy aggregate model, byte-identical to before
-	// the gang existed. At N > 1 the work items of each phase are
-	// partitioned round-robin into N per-worker shards and the pause
-	// charges max-over-workers of the shard spans (still divided by the
-	// phase thread count), plus StealSyncCost per barrier.
-	Workers int
-	// StealSyncCost models the work-stealing and termination-barrier
+	minorGCThreads = 16 // parallel scavenge threads (paper: 16)
+	majorGCThreads = 1  // old generation threads (paper: 1)
+
+	// stealSyncCost models the work-stealing and termination-barrier
 	// overhead of one gang synchronization point; charged once per barrier
 	// (minor GC: 1; major GC: one per phase) only when Workers > 1.
-	StealSyncCost time.Duration
-}
-
-// DefaultCostParams returns the calibrated defaults.
-func DefaultCostParams() CostParams {
-	return CostParams{
-		CopyPerByte:    time.Nanosecond / 4, // ~4 GB/s effective copy per thread
-		ScanPerRef:     12 * time.Nanosecond,
-		MarkPerObject:  18 * time.Nanosecond,
-		PerCard:        2 * time.Nanosecond,
-		PerCardObject:  10 * time.Nanosecond,
-		BarrierCost:    1 * time.Nanosecond,
-		PausePerGC:     200 * time.Microsecond,
-		MinorGCThreads: 16,
-		MajorGCThreads: 1,
-		Workers:        1,
-		StealSyncCost:  time.Microsecond,
-	}
-}
+	stealSyncCost = time.Microsecond
+)
 
 // Config configures a collector instance.
 type Config struct {
-	Heap  heap.Config
-	Costs CostParams
+	Heap heap.Config
 
 	// Verify runs the internal/check invariant verifier before and after
 	// every minor and major GC (the VerifyBeforeGC/VerifyAfterGC analog).
@@ -126,7 +104,15 @@ type Collector struct {
 	Roots *vm.RootSet
 	TH    SecondHeap
 	Clock *simclock.Clock
-	Costs CostParams
+
+	// Workers is the simulated GC gang size. At 0 or 1 (the default) each
+	// pause charges the serial sum of its CPU work divided by the phase's
+	// thread count — the legacy aggregate model, byte-identical to before
+	// the gang existed. At N > 1 the work items of each phase are
+	// partitioned round-robin into N per-worker shards and the pause
+	// charges max-over-workers of the shard spans (still divided by the
+	// phase thread count), plus stealSyncCost per barrier.
+	Workers int
 
 	stats Stats
 
@@ -168,7 +154,7 @@ type Collector struct {
 	fwState    forwarding
 
 	// gng points at gangScratch while a gang-charged phase is in flight
-	// (Costs.Workers > 1), routing per-work-item costs onto per-worker
+	// (Workers > 1), routing per-work-item costs onto per-worker
 	// spans; nil otherwise, making the attribution hooks no-ops on the
 	// legacy path.
 	gng         *gang
@@ -200,7 +186,7 @@ type Collector struct {
 // New builds a collector over a DRAM-backed H1. th may be nil for a
 // vanilla JVM (no H2).
 func New(cfg Config, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
-	c := NewWithHeap(heap.New(cfg.Heap, as), cfg.Costs, as, classes, clock, th)
+	c := NewWithHeap(heap.New(cfg.Heap, as), as, classes, clock, th)
 	if cfg.Verify {
 		c.SetVerify(true)
 	}
@@ -209,7 +195,7 @@ func New(cfg Config, as *vm.AddressSpace, classes *vm.ClassTable, clock *simcloc
 
 // NewWithHeap builds a collector over an already laid-out (and mapped) H1;
 // used by baselines that back H1 with NVM.
-func NewWithHeap(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
+func NewWithHeap(h1 *heap.H1, as *vm.AddressSpace, classes *vm.ClassTable, clock *simclock.Clock, th SecondHeap) *Collector {
 	if th == nil {
 		th = NoSecondHeap{}
 	}
@@ -220,7 +206,6 @@ func NewWithHeap(h1 *heap.H1, costs CostParams, as *vm.AddressSpace, classes *vm
 		Roots:          vm.NewRootSet(),
 		TH:             th,
 		Clock:          clock,
-		Costs:          costs,
 		startArray:     make([]vm.Addr, h1.Cards.NumCards()),
 		barrierEnabled: !noTH,
 		policy:         placement.Default{},
@@ -254,9 +239,6 @@ func (c *Collector) SetPlacementPolicy(p placement.Policy) {
 	c.policy = p
 }
 
-// PlacementPolicy returns the installed placement policy.
-func (c *Collector) PlacementPolicy() placement.Policy { return c.policy }
-
 // SetVerify enables or disables invariant verification around every GC: a
 // shim that registers (or removes) the verifier hook as the first entry of
 // the hook plane.
@@ -272,9 +254,6 @@ func (c *Collector) SetVerify(v bool) {
 	c.hooks.Remove(c.vhook)
 	c.vhook = nil
 }
-
-// VerifyEnabled reports whether the verifier hook is registered.
-func (c *Collector) VerifyEnabled() bool { return c.vhook != nil }
 
 // SetFaultInjector attaches the run's fault injector so persistent device
 // failures latch on the collector at the next allocation or GC boundary.
@@ -413,17 +392,9 @@ func (c *Collector) AllocPrimArray(class *vm.Class, n int) (vm.Addr, error) {
 	return c.allocObject(class, 0, vm.HeaderWords+n, false)
 }
 
-// AllocCold, AllocColdRefArray, and AllocColdPrimArray are the framework's
-// cold-allocation hint: identical to the plain variants, except the cold
-// bit reaches the placement policy's alloc-time decision.
-func (c *Collector) AllocCold(class *vm.Class) (vm.Addr, error) {
-	if class.Kind != vm.KindFixed {
-		return vm.NullAddr, &ClassKindError{Call: "Alloc", Class: class.Name}
-	}
-	return c.allocObject(class, class.NumRefs, class.InstanceWords(), true)
-}
-
-// AllocColdRefArray allocates a reference array flagged cold.
+// AllocColdRefArray allocates a reference array flagged cold: the
+// framework's cold-allocation hint. It is AllocRefArray, except that the
+// cold bit reaches the placement policy's alloc-time decision.
 func (c *Collector) AllocColdRefArray(class *vm.Class, n int) (vm.Addr, error) {
 	if class.Kind != vm.KindRefArray {
 		return vm.NullAddr, &ClassKindError{Call: "AllocRefArray", Class: class.Name}
@@ -431,7 +402,7 @@ func (c *Collector) AllocColdRefArray(class *vm.Class, n int) (vm.Addr, error) {
 	return c.allocObject(class, n, vm.HeaderWords+n, true)
 }
 
-// AllocColdPrimArray allocates a primitive array flagged cold.
+// AllocColdPrimArray is AllocPrimArray with the cold bit set.
 func (c *Collector) AllocColdPrimArray(class *vm.Class, n int) (vm.Addr, error) {
 	if class.Kind != vm.KindPrimArray {
 		return vm.NullAddr, &ClassKindError{Call: "AllocPrimArray", Class: class.Name}
@@ -552,12 +523,12 @@ func (c *Collector) rebuildStartArray() {
 // WriteRef performs a mutator reference-field store with the post-write
 // barrier (§4): a reference range check selects the H1 or H2 card table.
 func (c *Collector) WriteRef(obj vm.Addr, field int, val vm.Addr) {
-	c.Clock.Charge(simclock.Other, c.Costs.BarrierCost)
+	c.Clock.Charge(simclock.Other, BarrierCost)
 	c.stats.BarrierExecutions++
 	if c.barrierEnabled {
 		// The extra reference range check EnableTeraHeap compiles in;
 		// the paper measures its overhead at <3% on DaCapo (§4).
-		c.Clock.Charge(simclock.Other, c.Costs.BarrierCost)
+		c.Clock.Charge(simclock.Other, BarrierCost)
 	}
 	if c.TH.Contains(obj) {
 		// Updating an H2 object: the store itself is a device
@@ -590,8 +561,5 @@ func (c *Collector) ReadPrim(obj vm.Addr, i int) uint64 {
 
 // chargeGC divides CPU work across GC threads and bills the category.
 func (c *Collector) chargeGC(cat simclock.Category, d time.Duration, threads int) {
-	if threads < 1 {
-		threads = 1
-	}
 	c.Clock.Charge(cat, d/time.Duration(threads))
 }

@@ -33,7 +33,7 @@ func newTestEnv(t *testing.T, h1Size int64) *testEnv {
 		parr:    classes.MustPrimArray("long[]"),
 	}
 	as := &vm.AddressSpace{}
-	e.col = gc.New(gc.Config{Heap: heap.DefaultConfig(h1Size), Costs: gc.DefaultCostParams()}, as, classes, clock, nil)
+	e.col = gc.New(gc.Config{Heap: heap.DefaultConfig(h1Size)}, as, classes, clock, nil)
 	return e
 }
 
@@ -371,7 +371,7 @@ func TestHandleReleasedMidGraphIsCollected(t *testing.T) {
 	drop := e.buildList(t, 500)
 	usedBefore := e.col.H1.Used()
 	e.col.Release(drop)
-	if !drop.IsNull() {
+	if !drop.Addr().IsNull() {
 		t.Fatal("release did not null the handle")
 	}
 	if err := e.col.MajorGC(); err != nil {

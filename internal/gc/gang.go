@@ -88,10 +88,10 @@ func (c *Collector) gangCharge(d time.Duration) {
 // phase when the configured gang has more than one worker; endGangPhase
 // (via the returned flag) charges the phase.
 func (c *Collector) beginGangPhase() bool {
-	if c.Costs.Workers <= 1 {
+	if c.Workers <= 1 {
 		return false
 	}
-	c.gangScratch.reset(c.Costs.Workers)
+	c.gangScratch.reset(c.Workers)
 	c.gng = &c.gangScratch
 	return true
 }
@@ -102,6 +102,6 @@ func (c *Collector) beginGangPhase() bool {
 // barrier's steal/sync overhead.
 func (c *Collector) endGangPhase(cat simclock.Category, threads int) {
 	c.chargeGC(cat, c.gangScratch.spans.Max(), threads)
-	c.Clock.Charge(cat, c.Costs.StealSyncCost)
+	c.Clock.Charge(cat, stealSyncCost)
 	c.gng = nil
 }

@@ -34,9 +34,9 @@ func (c *Collector) MajorGC() error {
 	gangOn := c.beginGangPhase()
 	mk := c.majorMark(&cy)
 	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
+		c.endGangPhase(simclock.MajorGC, majorGCThreads)
 	} else {
-		c.chargeGC(simclock.MajorGC, mk.cpu(c.Costs), c.Costs.MajorGCThreads)
+		c.chargeGC(simclock.MajorGC, mk.cpu(), majorGCThreads)
 	}
 	cy.Phases[PhaseMark] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
 
@@ -48,10 +48,10 @@ func (c *Collector) MajorGC() error {
 		return err
 	}
 	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
+		c.endGangPhase(simclock.MajorGC, majorGCThreads)
 	} else {
 		c.chargeGC(simclock.MajorGC,
-			time.Duration(len(fw.src))*c.Costs.PerCardObject, c.Costs.MajorGCThreads)
+			time.Duration(len(fw.src))*PerCardObject, majorGCThreads)
 	}
 	cy.Phases[PhasePrecompact] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
 
@@ -59,10 +59,10 @@ func (c *Collector) MajorGC() error {
 	gangOn = c.beginGangPhase()
 	adjRefs := c.majorAdjust(fw)
 	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
+		c.endGangPhase(simclock.MajorGC, majorGCThreads)
 	} else {
 		c.chargeGC(simclock.MajorGC,
-			time.Duration(adjRefs)*c.Costs.ScanPerRef, c.Costs.MajorGCThreads)
+			time.Duration(adjRefs)*ScanPerRef, majorGCThreads)
 	}
 	cy.Phases[PhaseAdjust] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
 
@@ -70,11 +70,11 @@ func (c *Collector) MajorGC() error {
 	gangOn = c.beginGangPhase()
 	c.majorCompact(fw, &cy)
 	if gangOn {
-		c.endGangPhase(simclock.MajorGC, c.Costs.MajorGCThreads)
+		c.endGangPhase(simclock.MajorGC, majorGCThreads)
 	}
 	cy.Phases[PhaseCompact] = c.Clock.Breakdown().Sub(phaseStart).Get(simclock.MajorGC)
 
-	c.Clock.Charge(simclock.MajorGC, c.Costs.PausePerGC)
+	c.Clock.Charge(simclock.MajorGC, PausePerGC)
 
 	liveOld := c.H1.Old.Used()
 	c.TH.FinishMajor(liveOld, c.H1.Old.Capacity())
@@ -110,9 +110,9 @@ type markState struct {
 	liveBytes     int64
 }
 
-func (m *markState) cpu(costs CostParams) time.Duration {
-	return time.Duration(m.objectsMarked)*costs.MarkPerObject +
-		time.Duration(m.refsTraversed)*costs.ScanPerRef
+func (m *markState) cpu() time.Duration {
+	return time.Duration(m.objectsMarked)*MarkPerObject +
+		time.Duration(m.refsTraversed)*ScanPerRef
 }
 
 // majorMark performs the extended marking phase: reset H2 live bits, mark
@@ -155,13 +155,13 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 			m.SetLabel(o, label)
 			st.closureWords += int64(m.SizeWords(o))
 			st.objectsMarked++
-			c.gangCharge(c.Costs.MarkPerObject)
+			c.gangCharge(MarkPerObject)
 			n := m.NumRefs(o)
 			for i := 0; i < n; i++ {
 				if t := m.RefAt(o, i); !t.IsNull() && c.H1.Contains(t) {
 					closureStack = append(closureStack, t)
 					st.refsTraversed++
-					c.gangCharge(c.Costs.ScanPerRef)
+					c.gangCharge(ScanPerRef)
 				}
 			}
 		}
@@ -237,13 +237,13 @@ func (c *Collector) majorMark(cy *Cycle) *markState {
 		}
 		m.SetMarked(o, true)
 		st.objectsMarked++
-		c.gangCharge(c.Costs.MarkPerObject)
+		c.gangCharge(MarkPerObject)
 		st.liveBytes += int64(m.SizeWords(o)) * vm.WordSize
 		n := m.NumRefs(o)
 		for i := 0; i < n; i++ {
 			if t := m.RefAt(o, i); !t.IsNull() {
 				st.refsTraversed++
-				c.gangCharge(c.Costs.ScanPerRef)
+				c.gangCharge(ScanPerRef)
 				stack = append(stack, t)
 			}
 		}
@@ -409,7 +409,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	oldDst := growAddrs(c.oldDst, len(oldLive))
 	for i, a := range oldLive {
 		c.gangBegin()
-		c.gangCharge(c.Costs.PerCardObject)
+		c.gangCharge(PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -419,7 +419,7 @@ func (c *Collector) majorPrecompact(mk *markState, cy *Cycle) (*forwarding, erro
 	youngDst := growAddrs(c.youngDst, len(youngLive))
 	for i, a := range youngLive {
 		c.gangBegin()
-		c.gangCharge(c.Costs.PerCardObject)
+		c.gangCharge(PerCardObject)
 		d, err := assign(a)
 		if err != nil {
 			return nil, err
@@ -468,7 +468,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 			panic(fmt.Sprintf("gc: H2 backward reference to unmarked %v", t))
 		}
 		refs++
-		c.gangCharge(c.Costs.ScanPerRef)
+		c.gangCharge(ScanPerRef)
 		return nt
 	}, func(vm.Addr) bool { return false })
 
@@ -482,7 +482,7 @@ func (c *Collector) majorAdjust(fw *forwarding) int64 {
 				continue
 			}
 			refs++
-			c.gangCharge(c.Costs.ScanPerRef)
+			c.gangCharge(ScanPerRef)
 			if c.TH.Contains(t) {
 				if toH2 {
 					c.TH.NoteCrossRegionRef(fw.dst[i], t)
@@ -558,7 +558,7 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 		st := m.Status(dst)
 		m.SetStatus(dst, st&^uint64(vm.FlagMark|vm.FlagClosure))
 		cy.BytesCopied += int64(size) * vm.WordSize
-		c.gangCharge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
+		c.gangCharge(time.Duration(int64(size)*vm.WordSize) * CopyPerByte)
 	}
 
 	for i := fw.oldStartIdx; i < len(fw.src); i++ {
@@ -569,7 +569,7 @@ func (c *Collector) majorCompact(fw *forwarding, cy *Cycle) {
 	}
 	if !c.gangActive() {
 		c.chargeGC(simclock.MajorGC,
-			time.Duration(cy.BytesCopied)*c.Costs.CopyPerByte, c.Costs.MajorGCThreads)
+			time.Duration(cy.BytesCopied)*CopyPerByte, majorGCThreads)
 	}
 
 	// Reset spaces: everything live is now in the old generation or H2.

@@ -115,15 +115,15 @@ func (c *Collector) MinorGC() (err error) {
 	// roots through drain, charged max-over-workers when the gang is on,
 	// or the legacy serial aggregate otherwise.
 	if gangOn {
-		c.endGangPhase(simclock.MinorGC, c.Costs.MinorGCThreads)
+		c.endGangPhase(simclock.MinorGC, minorGCThreads)
 	} else {
-		cpu := time.Duration(s.bytesCopied+s.bytesPromoted)*c.Costs.CopyPerByte +
-			time.Duration(s.refsScanned)*c.Costs.ScanPerRef +
-			time.Duration(s.cardsScanned)*c.Costs.PerCard +
-			time.Duration(s.cardObjects)*c.Costs.PerCardObject
-		c.chargeGC(simclock.MinorGC, cpu, c.Costs.MinorGCThreads)
+		cpu := time.Duration(s.bytesCopied+s.bytesPromoted)*CopyPerByte +
+			time.Duration(s.refsScanned)*ScanPerRef +
+			time.Duration(s.cardsScanned)*PerCard +
+			time.Duration(s.cardObjects)*PerCardObject
+		c.chargeGC(simclock.MinorGC, cpu, minorGCThreads)
 	}
-	c.Clock.Charge(simclock.MinorGC, c.Costs.PausePerGC)
+	c.Clock.Charge(simclock.MinorGC, PausePerGC)
 
 	delta := c.Clock.Breakdown().Sub(before)
 	c.stats.record(Cycle{
@@ -222,7 +222,7 @@ func (s *scavenger) copyYoung(a vm.Addr) vm.Addr {
 	} else {
 		s.bytesCopied += int64(size) * vm.WordSize
 	}
-	c.gangCharge(time.Duration(int64(size)*vm.WordSize) * c.Costs.CopyPerByte)
+	c.gangCharge(time.Duration(int64(size)*vm.WordSize) * CopyPerByte)
 	s.worklist = append(s.worklist, dst)
 	c.policy.NoteScavenge(site, age, promoted)
 	return dst
@@ -259,7 +259,7 @@ func (s *scavenger) scanCopied(dst vm.Addr) {
 	for i := 0; i < n; i++ {
 		t := m.RefAt(dst, i)
 		s.refsScanned++
-		c.gangCharge(c.Costs.ScanPerRef)
+		c.gangCharge(ScanPerRef)
 		if t.IsNull() || c.TH.Contains(t) {
 			continue // fence: never cross into H2
 		}
@@ -306,7 +306,7 @@ func (s *scavenger) commitH2Move(mv pendingH2Move) {
 	for i := 0; i < numRefs; i++ {
 		t := vm.Addr(m.AS.Load(mv.src + vm.Addr((vm.HeaderWords+i)*vm.WordSize)))
 		s.refsScanned++
-		c.gangCharge(c.Costs.ScanPerRef)
+		c.gangCharge(ScanPerRef)
 		switch {
 		case t.IsNull():
 		case c.TH.Contains(t):
@@ -354,7 +354,7 @@ func (s *scavenger) scanDirtyCards() {
 	// the bulk deal assigned their index.
 	if gng := c.gng; gng != nil {
 		sweepStart := gng.next
-		gng.sweepUniform(n, c.Costs.PerCard)
+		gng.sweepUniform(n, PerCard)
 		for i := 0; i < n; i++ {
 			s.cardsScanned++
 			if cards.Get(i) != heap.CardDirty {
@@ -390,12 +390,12 @@ func (s *scavenger) scanCard(i int) {
 	anyYoung := false
 	for !obj.IsNull() && obj < hi && obj < s.oldTop {
 		s.cardObjects++
-		c.gangCharge(c.Costs.PerCardObject)
+		c.gangCharge(PerCardObject)
 		nrefs := m.NumRefs(obj)
 		for f := 0; f < nrefs; f++ {
 			t := m.RefAt(obj, f)
 			s.refsScanned++
-			c.gangCharge(c.Costs.ScanPerRef)
+			c.gangCharge(ScanPerRef)
 			if t.IsNull() || c.TH.Contains(t) {
 				continue
 			}

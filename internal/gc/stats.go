@@ -1,10 +1,6 @@
 package gc
 
-import (
-	"time"
-
-	"github.com/carv-repro/teraheap-go/internal/simclock"
-)
+import "time"
 
 // CycleKind distinguishes minor from major collections.
 type CycleKind int
@@ -117,12 +113,4 @@ func (s *Stats) PhaseTotals() [NumMajorPhases]time.Duration {
 		}
 	}
 	return t
-}
-
-// categoryFor maps a cycle kind to its clock category.
-func categoryFor(k CycleKind) simclock.Category {
-	if k == Minor {
-		return simclock.MinorGC
-	}
-	return simclock.MajorGC
 }

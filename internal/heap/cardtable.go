@@ -9,24 +9,23 @@ const (
 	CardDirty
 )
 
+// cardSize is the H1 card segment size in bytes (JVM default 512).
+const cardSize = 512
+
 // CardTable maps a contiguous address range to byte-sized card entries,
-// one per CardSize-byte segment. The mutator's post-write barrier dirties
+// one per cardSize-byte segment. The mutator's post-write barrier dirties
 // the card covering an updated old-generation object; minor GC scans dirty
 // cards to find old-to-young references.
 type CardTable struct {
-	Start    vm.Addr
-	End      vm.Addr
-	CardSize int
-	cards    []byte
+	Start vm.Addr
+	End   vm.Addr
+	cards []byte
 }
 
 // NewCardTable covers [start, end) with cards of cardSize bytes.
-func NewCardTable(start, end vm.Addr, cardSize int) *CardTable {
-	if cardSize <= 0 {
-		panic("heap: non-positive card size")
-	}
-	n := (int64(end-start) + int64(cardSize) - 1) / int64(cardSize)
-	return &CardTable{Start: start, End: end, CardSize: cardSize, cards: make([]byte, n)}
+func NewCardTable(start, end vm.Addr) *CardTable {
+	n := (int64(end-start) + cardSize - 1) / cardSize
+	return &CardTable{Start: start, End: end, cards: make([]byte, n)}
 }
 
 // Covers reports whether a falls inside the table's range.
@@ -34,7 +33,7 @@ func (t *CardTable) Covers(a vm.Addr) bool { return a >= t.Start && a < t.End }
 
 // Index returns the card index covering a.
 func (t *CardTable) Index(a vm.Addr) int {
-	return int(int64(a-t.Start) / int64(t.CardSize))
+	return int(int64(a-t.Start) / cardSize)
 }
 
 // NumCards returns the number of cards.
@@ -57,32 +56,12 @@ func (t *CardTable) MarkDirty(a vm.Addr) {
 
 // CardBounds returns the address range [lo, hi) covered by card i.
 func (t *CardTable) CardBounds(i int) (lo, hi vm.Addr) {
-	lo = t.Start + vm.Addr(i*t.CardSize)
-	hi = lo + vm.Addr(t.CardSize)
+	lo = t.Start + vm.Addr(i*cardSize)
+	hi = lo + cardSize
 	if hi > t.End {
 		hi = t.End
 	}
 	return lo, hi
-}
-
-// ForEach visits every card index whose state matches pred.
-func (t *CardTable) ForEach(pred func(state byte) bool, fn func(i int)) {
-	for i, s := range t.cards {
-		if pred(s) {
-			fn(i)
-		}
-	}
-}
-
-// CountDirty returns the number of dirty cards.
-func (t *CardTable) CountDirty() int {
-	n := 0
-	for _, s := range t.cards {
-		if s == CardDirty {
-			n++
-		}
-	}
-	return n
 }
 
 // ClearAll resets every card to clean.

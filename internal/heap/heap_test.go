@@ -61,7 +61,7 @@ func TestSwapSurvivors(t *testing.T) {
 }
 
 func TestCardTableIndexBounds(t *testing.T) {
-	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+10_000, 512)
+	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+10_000)
 	if ct.NumCards() != 20 {
 		t.Fatalf("cards = %d", ct.NumCards())
 	}
@@ -82,7 +82,7 @@ func TestCardTableIndexBounds(t *testing.T) {
 }
 
 func TestCardTableMarkAndClear(t *testing.T) {
-	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+1<<16, 512)
+	ct := heap.NewCardTable(vm.H1Base, vm.H1Base+1<<16)
 	ct.MarkDirty(vm.H1Base + 1000)
 	ct.MarkDirty(vm.H1Base + 40_000)
 	ct.MarkDirty(vm.H1Base - 8) // out of range: ignored

@@ -14,10 +14,12 @@ import (
 
 // Row is one bar of a breakdown figure.
 type Row struct {
-	Name  string
-	B     simclock.Breakdown
-	OOM   bool
-	Fault bool // the run ended on a latched storage fault (fault plane)
+	Name string
+	B    simclock.Breakdown
+	// Status is "" for a completed run; otherwise the word the table
+	// prints in place of its numbers: "OOM", or "FAULT" for a run a
+	// storage fault or a panic ended.
+	Status string
 	// Recovered marks a run the self-healing layer repaired (region
 	// salvage, quarantine, or breaker trip) that still finished with a
 	// correct result; its timings are valid and rendered normally.
@@ -34,7 +36,7 @@ func FormatBreakdown(title string, rows []Row, normalize bool) string {
 	var base time.Duration
 	if normalize {
 		for _, r := range rows {
-			if !r.OOM && !r.Fault {
+			if r.Status == "" {
 				base = r.B.Total()
 				break
 			}
@@ -43,12 +45,8 @@ func FormatBreakdown(title string, rows []Row, normalize bool) string {
 	fmt.Fprintf(&sb, "%-28s %10s %10s %10s %10s %10s %8s %s\n",
 		"config", "total", "other", "s/d+io", "minorGC", "majorGC", "norm", "")
 	for _, r := range rows {
-		if r.OOM {
-			fmt.Fprintf(&sb, "%-28s %10s %s\n", r.Name, "OOM", r.Note)
-			continue
-		}
-		if r.Fault {
-			fmt.Fprintf(&sb, "%-28s %10s %s\n", r.Name, "FAULT", r.Note)
+		if r.Status != "" {
+			fmt.Fprintf(&sb, "%-28s %10s %s\n", r.Name, r.Status, r.Note)
 			continue
 		}
 		norm := "-"
@@ -77,13 +75,8 @@ func CSVBreakdown(rows []Row) string {
 	var sb strings.Builder
 	sb.WriteString("name,total_ns,other_ns,sdio_ns,minor_ns,major_ns,oom,fault,recovered\n")
 	for _, r := range rows {
-		oom, flt, rec := 0, 0, 0
-		if r.OOM {
-			oom = 1
-		}
-		if r.Fault {
-			flt = 1
-		}
+		oom, flt := statusFlags(r.Status)
+		rec := 0
 		if r.Recovered {
 			rec = 1
 		}
@@ -92,6 +85,17 @@ func CSVBreakdown(rows []Row) string {
 			r.B.NS[simclock.MinorGC], r.B.NS[simclock.MajorGC], oom, flt, rec)
 	}
 	return sb.String()
+}
+
+// statusFlags is a row status as the oom and fault CSV columns.
+func statusFlags(status string) (oom, fault int) {
+	switch status {
+	case "OOM":
+		return 1, 0
+	case "FAULT":
+		return 0, 1
+	}
+	return 0, 0
 }
 
 func fmtDur(d time.Duration) string {
@@ -151,40 +155,6 @@ func CSVPauseScaling(rows []PauseRow) string {
 			r.Name, r.Workers, int64(r.MinorGC), int64(r.MajorGC), int64(r.Total))
 	}
 	return sb.String()
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64 // x
-	Pct   float64 // cumulative fraction in [0,100]
-}
-
-// CDF computes the empirical CDF of values.
-func CDF(values []float64) []CDFPoint {
-	if len(values) == 0 {
-		return nil
-	}
-	v := append([]float64(nil), values...)
-	sort.Float64s(v)
-	pts := make([]CDFPoint, len(v))
-	for i, x := range v {
-		pts[i] = CDFPoint{Value: x, Pct: 100 * float64(i+1) / float64(len(v))}
-	}
-	return pts
-}
-
-// CDFAt returns the fraction (0-100) of values <= x.
-func CDFAt(values []float64, x float64) float64 {
-	n := 0
-	for _, v := range values {
-		if v <= x {
-			n++
-		}
-	}
-	if len(values) == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(len(values))
 }
 
 // FormatCDF renders a CDF as a compact quantile table.

@@ -31,7 +31,7 @@ func TestFormatBreakdownNormalizes(t *testing.T) {
 
 func TestFormatBreakdownOOM(t *testing.T) {
 	rows := []metrics.Row{
-		{Name: "dead", OOM: true},
+		{Name: "dead", Status: "OOM"},
 		{Name: "live", B: mkBreakdown(time.Millisecond, 0, 0, 0)},
 	}
 	out := metrics.FormatBreakdown("t", rows, true)
@@ -52,25 +52,6 @@ func TestCSVBreakdown(t *testing.T) {
 	}
 	if !strings.Contains(out, "a,10,1,2,3,4,0") {
 		t.Fatalf("row wrong: %s", out)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	pts := metrics.CDF([]float64{3, 1, 2, 4})
-	if len(pts) != 4 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].Value != 1 || pts[3].Value != 4 {
-		t.Fatalf("not sorted: %+v", pts)
-	}
-	if pts[3].Pct != 100 {
-		t.Fatalf("last pct = %v", pts[3].Pct)
-	}
-	if got := metrics.CDFAt([]float64{1, 2, 3, 4}, 2); got != 50 {
-		t.Fatalf("CDFAt = %v", got)
-	}
-	if metrics.CDF(nil) != nil {
-		t.Fatal("empty CDF not nil")
 	}
 }
 

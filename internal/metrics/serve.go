@@ -20,8 +20,7 @@ type ServeRow struct {
 	SLOViol int64 // replies served past the deadline
 	PauseV  int64 // SLO violations overlapping a GC pause
 	RPS     float64
-	OOM     bool
-	Fault   bool
+	Status  string // as Row.Status
 	Note    string
 }
 
@@ -32,12 +31,8 @@ func FormatServeTable(title string, rows []ServeRow) string {
 	fmt.Fprintf(&sb, "%-24s %8s %8s %6s %7s %9s %9s %9s %8s %8s %s\n",
 		"config", "rate", "served", "shed", "retries", "p50", "p99", "p999", "sloViol", "rps", "")
 	for _, r := range rows {
-		if r.OOM {
-			fmt.Fprintf(&sb, "%-24s %8.0f %8s %s\n", r.Name, r.Rate, "OOM", r.Note)
-			continue
-		}
-		if r.Fault {
-			fmt.Fprintf(&sb, "%-24s %8.0f %8s %s\n", r.Name, r.Rate, "FAULT", r.Note)
+		if r.Status != "" {
+			fmt.Fprintf(&sb, "%-24s %8.0f %8s %s\n", r.Name, r.Rate, r.Status, r.Note)
 			continue
 		}
 		fmt.Fprintf(&sb, "%-24s %8.0f %8d %6d %7d %9s %9s %9s %8d %8.0f %s\n",
@@ -53,13 +48,7 @@ func CSVServe(rows []ServeRow) string {
 	var sb strings.Builder
 	sb.WriteString("name,rate,served,shed,retries,p50_ns,p99_ns,p999_ns,slo_viol,pause_viol,rps,oom,fault\n")
 	for _, r := range rows {
-		oom, flt := 0, 0
-		if r.OOM {
-			oom = 1
-		}
-		if r.Fault {
-			flt = 1
-		}
+		oom, flt := statusFlags(r.Status)
 		fmt.Fprintf(&sb, "%s,%g,%d,%d,%d,%d,%d,%d,%d,%d,%.1f,%d,%d\n",
 			r.Name, r.Rate, r.Served, r.Shed, r.Retries,
 			int64(r.P50), int64(r.P99), int64(r.P999), r.SLOViol, r.PauseV, r.RPS, oom, flt)

@@ -175,22 +175,6 @@ func (d *Dataset) SVM(epochs int) ([]float64, error) {
 		d.dot)
 }
 
-// Accuracy evaluates classification accuracy of weights w on the cached
-// points.
-func (d *Dataset) Accuracy(w []float64) (float64, error) {
-	var correct, total int64
-	err := d.forEachPoint(func(label float64, pt vm.Addr) {
-		total++
-		if d.dot(w, pt)*label > 0 {
-			correct++
-		}
-	})
-	if err != nil || total == 0 {
-		return 0, err
-	}
-	return float64(correct) / float64(total), nil
-}
-
 // NaiveBayes (BC) fits per-class Gaussian feature statistics in a single
 // pass and returns the resulting model.
 type NBModel struct {

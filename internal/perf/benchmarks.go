@@ -177,7 +177,7 @@ func setupScavengeGang4() func() {
 	}
 	col := j.Collector()
 	col.SetVerify(false)
-	col.Costs.Workers = 4
+	col.Workers = 4
 	op := func() {
 		for i := 0; i < 32; i++ {
 			if _, err := j.Alloc(node); err != nil {

@@ -133,3 +133,6 @@ func TestBreakerH1OnlySpanAccounting(t *testing.T) {
 		t.Fatalf("H1OnlyTime grew while closed: %v", got)
 	}
 }
+
+// State returns the breaker's position.
+func (m *Manager) State() State { return m.state }

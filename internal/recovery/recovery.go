@@ -193,16 +193,6 @@ func (m *Manager) Install() {
 	m.th.SetAdmission(m.admit)
 }
 
-// Uninstall removes the hook and the admission gate, restoring the
-// pre-recovery behavior (subsequent faults latch for good).
-func (m *Manager) Uninstall() {
-	m.col.Hooks().Remove(m)
-	m.th.SetAdmission(nil)
-}
-
-// State returns the breaker's position.
-func (m *Manager) State() State { return m.state }
-
 // Stats returns a snapshot of the recovery counters. An in-progress
 // H1-only span is included in H1OnlyTime up to the snapshot instant.
 func (m *Manager) Stats() Stats {

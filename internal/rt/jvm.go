@@ -17,15 +17,10 @@ type Options struct {
 	H1Size int64
 	// HeapCfg optionally overrides the derived heap configuration.
 	HeapCfg *heap.Config
-	// Costs optionally overrides the GC cost parameters.
-	Costs *gc.CostParams
 	// TH enables TeraHeap with the given configuration (nil = vanilla).
 	TH *core.Config
 	// H2Device backs H2; required when TH is set. Defaults to NVMe SSD.
 	H2Device *storage.Device
-	// Pretenure routes AllocCold* allocations directly into the old
-	// generation (the Panthera allocation policy).
-	Pretenure bool
 }
 
 // JVM is the Parallel Scavenge-based runtime (native and TeraHeap modes).
@@ -35,6 +30,8 @@ type JVM struct {
 	as        *vm.AddressSpace
 	collector *gc.Collector
 	th        *core.TeraHeap
+	// pretenure routes AllocCold* allocations directly into the old
+	// generation (the Panthera allocation policy).
 	pretenure bool
 
 	// Devices for traffic accounting in experiments.
@@ -70,11 +67,7 @@ func NewJVM(opts Options, classes *vm.ClassTable, clock *simclock.Clock) *JVM {
 	if opts.HeapCfg != nil {
 		hc = *opts.HeapCfg
 	}
-	costs := gc.DefaultCostParams()
-	if opts.Costs != nil {
-		costs = *opts.Costs
-	}
-	col := gc.New(gc.Config{Heap: hc, Costs: costs}, as, classes, clock, sh)
+	col := gc.New(gc.Config{Heap: hc}, as, classes, clock, sh)
 	if th != nil {
 		th.AttachMem(col.Mem)
 	}
@@ -84,28 +77,8 @@ func NewJVM(opts Options, classes *vm.ClassTable, clock *simclock.Clock) *JVM {
 		as:        as,
 		collector: col,
 		th:        th,
-		pretenure: opts.Pretenure,
 		H2Dev:     h2dev,
 	}
-}
-
-// NewJVMChecked builds a PS-based runtime like NewJVM but returns an error
-// instead of panicking when the heap or TeraHeap configuration is invalid;
-// experiment sweeps use it so a bad config fails one run, not the process.
-func NewJVMChecked(opts Options, classes *vm.ClassTable, clock *simclock.Clock) (*JVM, error) {
-	hc := heap.DefaultConfig(opts.H1Size)
-	if opts.HeapCfg != nil {
-		hc = *opts.HeapCfg
-	}
-	if err := hc.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.TH != nil {
-		if err := opts.TH.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return NewJVM(opts, classes, clock), nil
 }
 
 // NewMemoryModeJVM builds the Spark-MO baseline: the whole of H1 lives on
@@ -126,7 +99,7 @@ func NewMemoryModeJVM(h1Size, dramCacheBytes int64, nvm *storage.Device, classes
 	as.MapFile(vm.H1Base, mapped, nil)
 
 	hc := heap.DefaultConfig(h1Size)
-	col := gc.NewWithHeap(heap.NewUnmapped(hc), gc.DefaultCostParams(), as, classes, clock, nil)
+	col := gc.NewWithHeap(heap.NewUnmapped(hc), as, classes, clock, nil)
 	return &JVM{clock: clock, classes: classes, as: as, collector: col, H2Dev: nvm}
 }
 
@@ -161,7 +134,7 @@ func NewPantheraJVM(h1Size, dramOldBytes int64, nvm *storage.Device, classes *vm
 		as.Map(dramEnd, h1.Old.End, nvmPart)
 	}
 
-	col := gc.NewWithHeap(h1, gc.DefaultCostParams(), as, classes, clock, nil)
+	col := gc.NewWithHeap(h1, as, classes, clock, nil)
 	return &JVM{clock: clock, classes: classes, as: as, collector: col, pretenure: true, H2Dev: nvm}
 }
 
@@ -192,9 +165,6 @@ func (j *JVM) SetVerify(v bool) { j.collector.SetVerify(v) }
 
 // Hooks exposes the collector's lifecycle-hook plane.
 func (j *JVM) Hooks() *gc.Hooks { return j.collector.Hooks() }
-
-// VerifyEnabled reports whether the verifier hook is registered.
-func (j *JVM) VerifyEnabled() bool { return j.collector.VerifyEnabled() }
 
 // SetFaultInjector attaches the run's fault injector to the collector, the
 // H2 allocator, and the H2 device. One injector per run: all fault
@@ -233,15 +203,6 @@ func (j *JVM) AllocRefArray(c *vm.Class, n int) (vm.Addr, error) {
 // AllocPrimArray allocates a primitive array of n words.
 func (j *JVM) AllocPrimArray(c *vm.Class, n int) (vm.Addr, error) {
 	return j.collector.AllocPrimArray(c, n)
-}
-
-// AllocCold allocates long-lived framework data (pretenured on Panthera;
-// otherwise the cold bit reaches the placement policy's alloc decision).
-func (j *JVM) AllocCold(c *vm.Class) (vm.Addr, error) {
-	if j.pretenure {
-		return j.collector.AllocPretenured(c, c.NumRefs, c.InstanceWords())
-	}
-	return j.collector.AllocCold(c)
 }
 
 // AllocColdRefArray allocates a long-lived reference array.

@@ -65,7 +65,7 @@ func installPolicy(tb testing.TB, r Runtime, p placement.Policy) {
 func driveEquivWorkload(tb testing.TB, r Runtime) {
 	tb.Helper()
 	node := r.Classes().MustFixed("equiv.Node", 2, 2)
-	cold := r.Classes().MustFixed("equiv.Cold", 1, 4)
+	cold := r.Classes().MustPrimArray("equiv.Cold")
 	const label = 9
 	root := r.NewHandle(vm.NullAddr)
 	r.TagRoot(root, label)
@@ -87,8 +87,8 @@ func driveEquivWorkload(tb testing.TB, r Runtime) {
 			root.Set(a)
 		}
 		if i%53 == 0 {
-			if _, err := r.AllocCold(cold); err != nil {
-				tb.Fatalf("AllocCold %d: %v", i, err)
+			if _, err := r.AllocColdPrimArray(cold, 4); err != nil {
+				tb.Fatalf("AllocColdPrimArray %d: %v", i, err)
 			}
 		}
 	}

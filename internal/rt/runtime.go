@@ -34,7 +34,6 @@ type Runtime interface {
 	Alloc(c *vm.Class) (vm.Addr, error)
 	AllocRefArray(c *vm.Class, n int) (vm.Addr, error)
 	AllocPrimArray(c *vm.Class, n int) (vm.Addr, error)
-	AllocCold(c *vm.Class) (vm.Addr, error)
 	AllocColdRefArray(c *vm.Class, n int) (vm.Addr, error)
 	AllocColdPrimArray(c *vm.Class, n int) (vm.Addr, error)
 

@@ -50,8 +50,6 @@ type Spec struct {
 	// HeapCfg optionally overrides the PS heap geometry (Giraph runs
 	// shrink the young generation); nil derives defaults from H1Size.
 	HeapCfg *heap.Config
-	// Costs optionally overrides the GC cost parameters.
-	Costs *gc.CostParams
 
 	// TH is the TeraHeap configuration; required for KindTH and KindG1TH.
 	TH *core.Config
@@ -70,10 +68,6 @@ type Spec struct {
 	DRAMCacheBytes int64
 	// DRAMOldBytes is the DRAM share of the old generation (KindPanthera).
 	DRAMOldBytes int64
-
-	// G1 optionally overrides the G1 configuration (KindG1/KindG1TH);
-	// nil derives g1.DefaultConfig from H1Size.
-	G1 *g1.Config
 
 	// Classes and Clock are shared when non-nil (microbenchmarks build
 	// their class tables up front); nil builds fresh per-session ones.
@@ -211,22 +205,22 @@ func NewSession(spec Spec) *Session {
 	s := &Session{Spec: spec, Clock: clock, Classes: classes, Device: dev}
 	switch spec.Kind {
 	case KindPS:
-		s.Runtime = NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs}, classes, clock)
+		s.Runtime = NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg}, classes, clock)
 	case KindTH:
 		if spec.TH == nil {
 			panic("rt: Spec.TH is required for KindTH")
 		}
-		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs,
+		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg,
 			TH: spec.TH, H2Device: dev}, classes, clock)
 		s.Runtime = jvm
 		s.TH = jvm.TeraHeap()
 	case KindG1:
-		s.Runtime = g1.New(s.g1Config(), classes, clock)
+		s.Runtime = g1.New(g1.DefaultConfig(spec.H1Size), classes, clock)
 	case KindG1TH:
 		if spec.TH == nil {
 			panic("rt: Spec.TH is required for KindG1TH")
 		}
-		g, th := g1.NewWithTeraHeap(s.g1Config(), *spec.TH, dev, classes, clock)
+		g, th := g1.NewWithTeraHeap(g1.DefaultConfig(spec.H1Size), *spec.TH, dev, classes, clock)
 		s.Runtime = g
 		s.TH = th
 	case KindMO:
@@ -237,7 +231,7 @@ func NewSession(spec Spec) *Session {
 		if spec.TH == nil {
 			panic("rt: Spec.TH is required for KindNG2C")
 		}
-		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs,
+		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg,
 			TH: spec.TH, H2Device: dev}, classes, clock)
 		pol := placement.NewNG2C(placement.DefaultNG2CConfig())
 		jvm.SetPlacementPolicy(pol)
@@ -248,7 +242,7 @@ func NewSession(spec Spec) *Session {
 		if spec.TH == nil {
 			panic("rt: Spec.TH is required for KindDeca")
 		}
-		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg, Costs: spec.Costs,
+		jvm := NewJVM(Options{H1Size: spec.H1Size, HeapCfg: spec.HeapCfg,
 			TH: spec.TH, H2Device: dev}, classes, clock)
 		pol := placement.NewDeca()
 		jvm.SetPlacementPolicy(pol)
@@ -264,7 +258,7 @@ func NewSession(spec Spec) *Session {
 	// pause pipeline and take no gang.
 	if spec.GCWorkers > 1 {
 		if jvm, ok := s.Runtime.(*JVM); ok {
-			jvm.Collector().Costs.Workers = spec.GCWorkers
+			jvm.Collector().Workers = spec.GCWorkers
 		}
 	}
 
@@ -330,14 +324,6 @@ func (s *Session) RecoveryStats() *recovery.Stats {
 	}
 	st := s.Recovery.Stats()
 	return &st
-}
-
-// g1Config resolves the G1 configuration for G1-based kinds.
-func (s *Session) g1Config() g1.Config {
-	if s.Spec.G1 != nil {
-		return *s.Spec.G1
-	}
-	return g1.DefaultConfig(s.Spec.H1Size)
 }
 
 // Fault returns the run's latched persistent storage failure, checking

@@ -87,12 +87,8 @@ func TestNewSessionAllKinds(t *testing.T) {
 						t.Errorf("injector presence: got %v want %v", ses.Injector != nil, withPlan)
 					}
 					wantVerify := verify || envVerify
-					ve, ok := ses.Runtime.(interface{ VerifyEnabled() bool })
-					if !ok {
-						t.Fatalf("runtime %T does not expose VerifyEnabled", ses.Runtime)
-					}
-					if ve.VerifyEnabled() != wantVerify {
-						t.Errorf("VerifyEnabled: got %v want %v", ve.VerifyEnabled(), wantVerify)
+					if got := verifyEnabled(ses.Runtime); got != wantVerify {
+						t.Errorf("verifier registered: got %v want %v", got, wantVerify)
 					}
 					wantHooks := 1 // EventStats
 					if wantVerify {
@@ -199,8 +195,8 @@ func TestConcurrentSessionsDoNotShareConfig(t *testing.T) {
 		}
 		ses := NewSession(spec)
 		driveMutator(t, ses.Runtime)
-		if got := ses.Runtime.(interface{ VerifyEnabled() bool }).VerifyEnabled(); got != verify {
-			t.Errorf("verify=%v session observed VerifyEnabled=%v", verify, got)
+		if got := verifyEnabled(ses.Runtime); got != verify {
+			t.Errorf("verify=%v session observed a registered verifier=%v", verify, got)
 		}
 		if (ses.Injector != nil) != withPlan {
 			t.Errorf("withPlan=%v session observed injector=%v", withPlan, ses.Injector != nil)
@@ -212,4 +208,15 @@ func TestConcurrentSessionsDoNotShareConfig(t *testing.T) {
 		go check(false, false)
 	}
 	wg.Wait()
+}
+
+// verifyEnabled reports whether r's verifier hook is registered: turning
+// verification off removes exactly that hook from the hook plane. The
+// previous state is restored.
+func verifyEnabled(r Runtime) bool {
+	n := r.Hooks().Len()
+	r.SetVerify(false)
+	on := r.Hooks().Len() < n
+	r.SetVerify(on)
+	return on
 }

@@ -53,10 +53,9 @@ func paramsFor(k Kind) params {
 
 // Serializer converts heap object graphs to and from byte streams.
 type Serializer struct {
-	rt   rt.Runtime
-	kind Kind
-	p    params
-	buf  *vm.Class // temp byte-buffer class
+	rt  rt.Runtime
+	p   params
+	buf *vm.Class // temp byte-buffer class
 
 	// Parallelism divides the CPU cost of S/D across executor threads
 	// (Spark parallelizes S/D per partition; the paper measures up to 55%
@@ -77,7 +76,7 @@ func New(r rt.Runtime, kind Kind) *Serializer {
 	if buf == nil {
 		buf = r.Classes().MustPrimArray("serde.Buffer")
 	}
-	return &Serializer{rt: r, kind: kind, p: paramsFor(kind), buf: buf, Parallelism: 1}
+	return &Serializer{rt: r, p: paramsFor(kind), buf: buf, Parallelism: 1}
 }
 
 // chargeCPU bills S/D CPU time divided across the parallel S/D threads.
@@ -89,9 +88,6 @@ func (s *Serializer) chargeCPU(words int64) {
 	s.rt.Clock().Charge(simclock.SerDesIO,
 		time.Duration(words)*s.p.costPerWord/time.Duration(par))
 }
-
-// Kind returns the serializer kind.
-func (s *Serializer) Kind() Kind { return s.kind }
 
 // Measure walks the transitive closure of root, returning object and word
 // counts without charging serialization cost (used to size blobs).

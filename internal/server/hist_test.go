@@ -45,3 +45,6 @@ func TestHistEdgeCases(t *testing.T) {
 		t.Errorf("percentile exceeds max: %v > %v", h.Percentile(0.999), h.Max())
 	}
 }
+
+// Count returns the number of recorded samples.
+func (h *Hist) Count() int64 { return h.n }

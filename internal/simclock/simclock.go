@@ -93,9 +93,6 @@ func (c *Clock) SetContext(cat Category) Category {
 	return prev
 }
 
-// Context returns the ambient category.
-func (c *Clock) Context() Category { return c.context }
-
 // Charge adds d to category cat. Negative charges are ignored.
 func (c *Clock) Charge(cat Category, d time.Duration) {
 	if d > 0 {
@@ -123,6 +120,3 @@ func (c *Clock) Breakdown() Breakdown {
 	}
 	return b
 }
-
-// Reset zeroes all accumulated time (context is preserved).
-func (c *Clock) Reset() { c.ns = [numCategories]int64{} }

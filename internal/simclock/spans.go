@@ -58,13 +58,3 @@ func (s *Spans) Max() time.Duration {
 	}
 	return time.Duration(m)
 }
-
-// Sum returns the total CPU across all workers (the serial-equivalent
-// work, used to report parallel efficiency).
-func (s *Spans) Sum() time.Duration {
-	var t int64
-	for _, v := range s.ns {
-		t += v
-	}
-	return time.Duration(t)
-}

@@ -46,9 +46,6 @@ func (r *RDD) Persist() *RDD {
 	return r
 }
 
-// Persisted reports whether the RDD is marked for caching.
-func (r *RDD) Persisted() bool { return r.persisted }
-
 // PartitionKey identifies a cached block.
 type PartitionKey struct {
 	RDD  uint64
@@ -113,7 +110,3 @@ func (r *RDD) ForEachPartition(fn func(p int, root vm.Addr) error) error {
 	}
 	return nil
 }
-
-// Elements returns the element count of partition p recorded at build
-// time (0 before first materialization).
-func (r *RDD) Elements(p int) int { return r.stats[p].Elements }

@@ -87,23 +87,6 @@ func (s *ByteStore) Delete(id BlobID) {
 	delete(s.blobs, id)
 }
 
-// Size returns the stored size of blob id (0 if unknown).
-func (s *ByteStore) Size(id BlobID) int64 {
-	if b, ok := s.blobs[id]; ok {
-		return b.size
-	}
-	return 0
-}
-
-// TotalBytes returns the total bytes stored across all blobs.
-func (s *ByteStore) TotalBytes() int64 {
-	var t int64
-	for _, b := range s.blobs {
-		t += b.size
-	}
-	return t
-}
-
 func (s *ByteStore) insertCached(b *blob) {
 	if b.cached {
 		s.moveToFront(b)

@@ -94,12 +94,6 @@ func NewPageCache(dev *Device, pageSize, capacityPages int) *PageCache {
 // PageSize returns the page size in bytes.
 func (c *PageCache) PageSize() int { return c.pageSize }
 
-// Len returns the number of resident pages.
-func (c *PageCache) Len() int { return c.resident }
-
-// Capacity returns the capacity in pages (0 = unbounded).
-func (c *PageCache) Capacity() int { return c.capacity }
-
 // slot returns the table entry for page, growing the table if needed.
 func (c *PageCache) slot(page int64) *pageSlot {
 	if page >= int64(len(c.slots)) {
@@ -176,22 +170,6 @@ func (c *PageCache) Resident(page int64) bool {
 	return page >= 0 && page < int64(len(c.slots)) && c.slots[page].state != pageAbsent
 }
 
-// FlushAll writes back every dirty page (msync-style) without evicting.
-func (c *PageCache) FlushAll() {
-	var dirtyBytes int64
-	for p := c.head; p != nilPage; p = c.slots[p].next {
-		s := &c.slots[p]
-		if s.state == pageDirty {
-			s.state = pageClean
-			c.Writebacks++
-			dirtyBytes += int64(c.pageSize)
-		}
-	}
-	if dirtyBytes > 0 {
-		c.chargeWriteback(func() { c.dev.WriteSeq(dirtyBytes, c.pageSize) })
-	}
-}
-
 // chargeWriteback charges one writeback, paying it a second time if the
 // fault plane fails the first attempt (the kernel's writeback path retries
 // failed dirty-page I/O; the data is still in the cache, so recovery is a
@@ -202,20 +180,6 @@ func (c *PageCache) chargeWriteback(charge func()) {
 		c.WritebackRetries++
 		charge()
 	}
-}
-
-// DropAll empties the cache, writing back dirty pages first.
-func (c *PageCache) DropAll() {
-	c.FlushAll()
-	for p := c.head; p != nilPage; {
-		s := &c.slots[p]
-		next := s.next
-		s.state = pageAbsent
-		s.prev, s.next = nilPage, nilPage
-		p = next
-	}
-	c.head, c.tail = nilPage, nilPage
-	c.resident = 0
 }
 
 // InvalidateRange drops any cached pages in [firstPage, lastPage] without

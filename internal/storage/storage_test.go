@@ -137,26 +137,6 @@ func TestMappedFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMappedFileBulkStoreIsCheaperThanWordStores(t *testing.T) {
-	run := func(bulk bool) time.Duration {
-		clock := simclock.New()
-		dev := storage.NewDevice(storage.NVMeSSD, clock)
-		m := storage.NewMappedFile(dev, 1<<20, 4096, 8*1024)
-		data := make([]uint64, 4096)
-		if bulk {
-			m.BulkStore(0, data)
-		} else {
-			for i := range data {
-				m.Store(int64(i), 7)
-			}
-		}
-		return clock.Now()
-	}
-	if b, w := run(true), run(false); b >= w {
-		t.Fatalf("bulk store (%v) not cheaper than word stores (%v)", b, w)
-	}
-}
-
 func TestByteStoreCacheAndDelete(t *testing.T) {
 	clock := simclock.New()
 	dev := storage.NewDevice(storage.NVMeSSD, clock)
@@ -207,15 +187,15 @@ func TestStripedDeviceScalesBandwidth(t *testing.T) {
 }
 
 func TestAsyncOverlapReducesWriteCost(t *testing.T) {
-	cost := func(overlap float64) time.Duration {
+	cost := func(write func(*storage.Device)) time.Duration {
 		clock := simclock.New()
-		dev := storage.NewDevice(storage.NVMeSSD, clock)
-		dev.SetAsyncOverlap(overlap)
-		dev.WriteAsync(2*storage.MB, 4096)
+		write(storage.NewDevice(storage.NVMeSSD, clock))
 		return clock.Now()
 	}
-	if full, none := cost(0.9), cost(0.0); full >= none {
-		t.Fatalf("overlap did not reduce cost: %v vs %v", full, none)
+	async := cost(func(d *storage.Device) { d.WriteAsync(2*storage.MB, 4096) })
+	sync := cost(func(d *storage.Device) { d.WriteSeq(2*storage.MB, 4096) })
+	if async >= sync {
+		t.Fatalf("overlap did not reduce cost: async %v vs sync %v", async, sync)
 	}
 }
 

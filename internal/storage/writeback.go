@@ -61,16 +61,6 @@ func (d *Device) SetWritebackDepth(depth int) {
 	d.wb.depth = depth
 }
 
-// WritebackDepth returns the configured in-flight batch cap (0 = queue
-// disabled).
-func (d *Device) WritebackDepth() int { return d.wb.depth }
-
-// WritebackPending returns the number of in-flight writeback batches.
-func (d *Device) WritebackPending() int { return d.wb.pending() }
-
-// WritebackStats returns a copy of the writeback-queue counters.
-func (d *Device) WritebackStats() WritebackStats { return d.wb.stats }
-
 // submitWriteback enqueues one batch of already fault-adjusted service
 // cost. When the queue is at its depth cap the submitter blocks (ambient
 // charge) until the oldest batch completes, modeling the bounded

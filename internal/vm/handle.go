@@ -18,9 +18,6 @@ func (h *Handle) Addr() Addr { return h.addr }
 // handles are roots, scanned fully at every collection.
 func (h *Handle) Set(a Addr) { h.addr = a }
 
-// IsNull reports whether the handle holds the null reference.
-func (h *Handle) IsNull() bool { return h.addr.IsNull() }
-
 // RootSet tracks all live handles. Registration order is preserved so GC
 // traversal order, and therefore the whole simulation, is deterministic.
 // Each handle carries its slot index, so membership needs no map.
@@ -75,9 +72,6 @@ func (r *RootSet) compact() {
 	}
 	r.handles = live
 }
-
-// Len returns the number of live handles.
-func (r *RootSet) Len() int { return r.live }
 
 // ForEach visits every live handle in registration order.
 func (r *RootSet) ForEach(fn func(h *Handle)) {

@@ -1,7 +1,5 @@
 package vm
 
-import "fmt"
-
 // Object header layout (3 words, mirroring the paper's extended header):
 //
 //	word 0: status word — class id, age, GC flags; or a forwarding pointer
@@ -60,14 +58,6 @@ func (m *Mem) InitObject(a Addr, c *Class, numRefs, sizeWords int) {
 	}
 }
 
-// InitObjectHeaderOnly writes the header without zeroing the body; used by
-// GC when copying (the body is copied explicitly).
-func (m *Mem) InitObjectHeaderOnly(a Addr, status, shape, label uint64) {
-	m.AS.Store(a+hdrStatus*WordSize, status)
-	m.AS.Store(a+hdrShape*WordSize, shape)
-	m.AS.Store(a+hdrLabel*WordSize, label)
-}
-
 // Status returns the raw status word.
 func (m *Mem) Status(a Addr) uint64 { return m.AS.Load(a + hdrStatus*WordSize) }
 
@@ -84,9 +74,6 @@ func (m *Mem) ClassOf(a Addr) *Class {
 
 // SizeWords returns the total object size in words including the header.
 func (m *Mem) SizeWords(a Addr) int { return int(uint32(m.Shape(a))) }
-
-// SizeBytes returns the total object size in bytes.
-func (m *Mem) SizeBytes(a Addr) int64 { return int64(m.SizeWords(a)) * WordSize }
 
 // NumRefs returns the number of reference fields of the object at a.
 func (m *Mem) NumRefs(a Addr) int { return int(m.Shape(a) >> 32) }
@@ -198,22 +185,8 @@ func StatusClassID(status uint64) ClassID { return ClassID(status & ClassMask) }
 // StatusAge decodes the tenuring age of a raw status word.
 func StatusAge(status uint64) int { return int(status >> ageShift & ageMask) }
 
-// StatusPretenured reports whether a raw status word carries the
-// policy-pretenured bit.
-func StatusPretenured(status uint64) bool { return status&FlagPretenured != 0 }
-
 // ShapeSizeWords decodes the total object size (in words) of a raw shape word.
 func ShapeSizeWords(shape uint64) int { return int(uint32(shape)) }
 
 // ShapeNumRefs decodes the reference-field count of a raw shape word.
 func ShapeNumRefs(shape uint64) int { return int(shape >> 32) }
-
-// Describe renders a short debugging description of the object at a.
-func (m *Mem) Describe(a Addr) string {
-	if a.IsNull() {
-		return "null"
-	}
-	c := m.ClassOf(a)
-	return fmt.Sprintf("%s@%v[size=%dw refs=%d label=%d age=%d]",
-		c.Name, a, m.SizeWords(a), m.NumRefs(a), m.Label(a), m.Age(a))
-}

@@ -108,14 +108,6 @@ func CachedRows(seed uint64, n, k int) *Rows {
 	return rowsCache.get(key, func() *Rows { return GenRows(seed, n, k) })
 }
 
-// CacheStats reports aggregate hit/miss counts across the three dataset
-// caches (tests and diagnostics).
-func CacheStats() (hits, misses int64) {
-	hits = graphCache.hits.Load() + pointsCache.hits.Load() + rowsCache.hits.Load()
-	misses = graphCache.misses.Load() + pointsCache.misses.Load() + rowsCache.misses.Load()
-	return hits, misses
-}
-
 // ResetCaches drops all memoised datasets and zeroes the counters
 // (tests; frees memory between unrelated suites).
 func ResetCaches() {

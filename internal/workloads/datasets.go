@@ -56,17 +56,6 @@ func GenGraph(seed uint64, n int, avgDeg float64, skew float64) *Graph {
 	return g
 }
 
-// InDegrees computes the in-degree of each vertex.
-func (g *Graph) InDegrees() []int32 {
-	in := make([]int32, g.N)
-	for _, es := range g.Adj {
-		for _, t := range es {
-			in[t]++
-		}
-	}
-	return in
-}
-
 // Points is a labeled-point dataset for the ML workloads (LR, LgR, SVM,
 // BC), the stand-in for the SparkBench generators and KDD12.
 type Points struct {

@@ -48,27 +48,11 @@ func (r *Rand) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Zipf returns a sample in [0, n) with P(k) ∝ 1/(k+1)^s. It inverts
+// ZipfSampler draws samples in [0, n) with P(k) ∝ 1/(k+1)^s. It inverts
 // the CDF of the continuous analogue in closed form, which is adequate
 // for degree and key-popularity skew and far cheaper than inverting a
-// precomputed discrete CDF. It recomputes the distribution's constants
-// on every call; code drawing many samples from one distribution uses
-// a ZipfSampler, which returns the same values draw for draw.
-func (r *Rand) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	u := r.Float64()
-	if s == 1 {
-		return clampZipf(int(math.Pow(float64(n), u))-1, n)
-	}
-	x := math.Pow(u*(math.Pow(float64(n), 1-s)-1)+1, 1/(1-s)) - 1
-	return clampZipf(int(x), n)
-}
-
-// ZipfSampler draws from the distribution of Rand.Zipf(n, s) with its
-// constants computed once, for generators that draw many samples from
-// one (n, s).
+// precomputed discrete CDF, with the distribution's constants computed
+// once.
 type ZipfSampler struct {
 	n  int
 	s1 bool    // s == 1: the inverse CDF is n^u - 1
@@ -83,8 +67,8 @@ func NewZipfSampler(n int, s float64) ZipfSampler {
 		c: math.Pow(float64(n), 1-s) - 1, e: 1 / (1 - s)}
 }
 
-// Draw returns the next sample from r, bit-identical to r.Zipf(n, s),
-// including consuming no randomness when n <= 1.
+// Draw returns the next sample from r. It consumes no randomness when
+// n <= 1.
 func (z ZipfSampler) Draw(r *Rand) int {
 	if z.n <= 1 {
 		return 0
